@@ -1,16 +1,15 @@
 """Command line interface.
 
 Subcommands: ``run`` replays a bid file against a network, ``check``
-validates a network and optionally audits a trade log exhaustively,
-``ptdf`` dumps the sensitivity matrix, ``book`` pretty-prints an order
-book dump. Exit codes: 0 clean, 2 input error, 3 infeasible baseline
-(1 for a failed exhaustive audit).
+validates a network and optionally audits every activation subset of a
+trade log, ``ptdf`` dumps the sensitivity matrix, ``book``
+pretty-prints an order book dump. Exit codes: 0 clean, 2 input error,
+3 infeasible baseline (1 for a failed exhaustive audit).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import InfeasibleBaselineError, InputError, MarketError, NetworkError
@@ -20,6 +19,7 @@ from .fileio import (
     MarketConfig,
     audit_trade_log,
     load_network,
+    read_book_dump,
     run_replay,
     trade_log_lines,
 )
@@ -43,12 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="network-check combination policy (default: all)",
     )
     run.add_argument("--scenarios", help="YAML scenario file (scenarios policy only)")
-    run.add_argument("--max-combinations", type=int, default=20,
-                     help="refuse all-combinations checks beyond this many accepted matches")
     run.add_argument("--order", default="fifo", choices=["fifo", "best_price"],
                      help="counterparty iteration order (default: fifo)")
-    run.add_argument("--parallel", action="store_true",
-                     help="evaluate combination sets on a thread pool")
     run.add_argument("--out", help="directory for trades.jsonl and book.json")
     run.set_defaults(func=cmd_run)
 
@@ -75,9 +71,7 @@ def cmd_run(args) -> int:
     config = MarketConfig(
         policy=args.policy,
         scenarios_path=args.scenarios,
-        max_combinations=args.max_combinations,
         order=args.order,
-        parallel=args.parallel,
     )
     result = run_replay(args.network, args.bids, config, out_dir=args.out)
     if result.exit_code:
@@ -131,11 +125,7 @@ def cmd_ptdf(args) -> int:
 
 
 def cmd_book(args) -> int:
-    try:
-        with open(args.book) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read book dump: {exc}") from None
+    data = read_book_dump(args.book)
     print(f"round {data['round']}, {data['match_counter']} matches so far")
     print("baseline injections (kW):")
     for bus, value in data["injection_kw"].items():

@@ -23,7 +23,3 @@ class InfeasibleBaselineError(FlexMarketError):
 
 class MarketError(FlexMarketError):
     """A bid or market operation violates the trading rules."""
-
-
-class CombinationLimitError(MarketError):
-    """Too many accepted conditional matches for exhaustive checking."""

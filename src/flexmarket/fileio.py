@@ -10,6 +10,7 @@ on load.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -41,7 +42,7 @@ from .market import (
     OrderBook,
     TradeLogEntry,
 )
-from .oracle import exhaustive_subset_check
+from .oracle import worst_subset_check
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -66,6 +67,20 @@ _BID_FIELDS = {
     "conditionality",
 }
 
+# Required fields of a book dump and of its records, with their types.
+_DUMP_FIELDS = dict(
+    round=int, sequence=int, match_counter=int, injection_kw=dict,
+    requests=list, offers=list, accepted_matches=list, seen_ids=list,
+)
+_DUMP_BID_FIELDS = dict(
+    id=str, side=str, direction=str, bus=str, quantity_kw=float,
+    original_quantity_kw=float, price_eur_per_kw=float, sequence=int,
+)
+_DUMP_MATCH_FIELDS = dict(
+    match_id=str, offer_id=str, request_id=str, inject_bus=str, withdraw_bus=str,
+    quantity_kw=float, price_eur_per_kw=float, conditionality=str, round=int,
+)
+
 
 @dataclass
 class MarketConfig:
@@ -73,17 +88,13 @@ class MarketConfig:
 
     policy: str = ALL_COMBINATIONS
     scenarios_path: Optional[str] = None
-    max_combinations: int = 20
     tolerance_kw: float = 1e-6
     order: str = ORDER_FIFO
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         self.policy = POLICY_ALIASES.get(self.policy, self.policy)
         if self.policy not in POLICY_VARIANTS:
             raise InputError(f"unknown policy {self.policy!r}")
-        if self.max_combinations < 1:
-            raise InputError("max_combinations must be >= 1")
         if not self.tolerance_kw > 0:
             raise InputError("tolerance must be > 0")
 
@@ -94,6 +105,17 @@ class ReplayResult:
     book: Optional[OrderBook]
     exit_code: int
     error: Optional[str] = None
+
+
+def _number(value, where: str, kind=float):
+    """``kind(value)`` if that is a finite number; otherwise an InputError."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InputError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def load_network(path, require_feasible: bool = True):
@@ -130,14 +152,17 @@ def load_network(path, require_feasible: bool = True):
             Line(
                 from_bus=str(raw["from_bus"]),
                 to_bus=str(raw["to_bus"]),
-                reactance=float(raw["reactance"]),
-                limit_kw=float(raw["limit_kw"]),
+                reactance=_number(raw["reactance"], f"{path}: line #{i + 1} reactance"),
+                limit_kw=_number(raw["limit_kw"], f"{path}: line #{i + 1} limit_kw"),
             )
         )
     network = Network(buses=buses, lines=lines, slack_bus=slack)
 
     raw_injections = data.get("injection_kw") or {}
-    injections = {str(bus): float(value) for bus, value in raw_injections.items()}
+    injections = {
+        str(bus): _number(value, f"{path}: injection_kw of bus {bus}")
+        for bus, value in raw_injections.items()
+    }
     unknown = set(injections) - set(buses)
     if unknown:
         raise InputError(f"{path}: injection_kw names unknown buses {sorted(unknown)}")
@@ -188,12 +213,12 @@ def load_bids(path) -> list:
                 side=record["side"],
                 direction=record["direction"],
                 bus=str(record["bus"]),
-                quantity_kw=float(record["quantity_kw"]),
-                price_eur_per_kw=float(record["price_eur_per_kw"]),
+                quantity_kw=_number(record["quantity_kw"], "quantity_kw"),
+                price_eur_per_kw=_number(record["price_eur_per_kw"], "price_eur_per_kw"),
                 conditionality=record.get("conditionality"),
                 sequence=len(bids) + 1,
             )
-        except MarketError as exc:
+        except (InputError, MarketError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
         if bid.id in seen:
             raise InputError(f"{path}:{lineno}: duplicate bid id {bid.id!r}")
@@ -234,10 +259,8 @@ def new_book(network, baseline, config: MarketConfig) -> OrderBook:
         network,
         baseline,
         build_policy(config),
-        max_combinations=config.max_combinations,
         tolerance_kw=config.tolerance_kw,
         order=config.order,
-        parallel=config.parallel,
     )
 
 
@@ -376,8 +399,32 @@ def book_json(book: OrderBook) -> str:
     return json.dumps(dump_book(book), sort_keys=True, indent=2) + "\n"
 
 
-def load_book(path, network, config: MarketConfig) -> OrderBook:
-    """Rebuild an order book from a dump; inverse of :func:`dump_book`."""
+def _checked(record, fields: dict, where: str) -> dict:
+    """A copy of ``record`` whose required fields are present and typed.
+
+    Numeric fields are converted and must be finite.
+    """
+    if not isinstance(record, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    missing = set(fields) - set(record)
+    if missing:
+        raise InputError(f"{where}: missing {sorted(missing)}")
+    out = dict(record)
+    for key, kind in fields.items():
+        if kind in (int, float):
+            out[key] = _number(record[key], f"{where}: {key}", kind)
+        elif not isinstance(record[key], kind):
+            raise InputError(f"{where}: {key} is not a {kind.__name__}")
+    return out
+
+
+def read_book_dump(path) -> dict:
+    """Read and check a dump written by :func:`book_json`.
+
+    A dump that lacks a field :func:`load_book` needs, a truncated one
+    included, or that holds a mistyped or non-finite value, raises
+    :class:`InputError` naming the record.
+    """
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -386,42 +433,61 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
-    baseline = DispatchState({str(b): float(v) for b, v in data["injection_kw"].items()})
-    book = new_book(network, baseline, config)
-    book.round = int(data["round"])
-    book._sequence = int(data["sequence"])
-    book._match_counter = int(data["match_counter"])
-    book._seen_ids = set(data["seen_ids"])
+    data = _checked(data, _DUMP_FIELDS, str(path))
+    data["injection_kw"] = {
+        str(bus): _number(value, f"{path}: injection_kw of bus {bus}")
+        for bus, value in data["injection_kw"].items()
+    }
+    for key, fields in (
+        ("requests", _DUMP_BID_FIELDS),
+        ("offers", _DUMP_BID_FIELDS),
+        ("accepted_matches", _DUMP_MATCH_FIELDS),
+    ):
+        data[key] = [
+            _checked(raw, fields, f"{path}: {key}[{i}]") for i, raw in enumerate(data[key])
+        ]
+    return data
+
+
+def load_book(path, network, config: MarketConfig) -> OrderBook:
+    """Rebuild an order book from a dump; inverse of :func:`dump_book`."""
+    data = read_book_dump(path)
+    book = new_book(network, DispatchState(data["injection_kw"]), config)
+    book.round = data["round"]
+    book._sequence = data["sequence"]
+    book._match_counter = data["match_counter"]
+    book._seen_ids = set(map(str, data["seen_ids"]))
     for pool, records in ((book.requests, data["requests"]), (book.offers, data["offers"])):
         for raw in records:
-            pool.append(
-                Bid(
+            try:
+                bid = Bid(
                     id=raw["id"],
                     side=raw["side"],
                     direction=raw["direction"],
                     bus=raw["bus"],
-                    quantity_kw=float(raw["quantity_kw"]),
-                    price_eur_per_kw=float(raw["price_eur_per_kw"]),
+                    quantity_kw=raw["quantity_kw"],
+                    price_eur_per_kw=raw["price_eur_per_kw"],
                     conditionality=raw.get("conditionality"),
-                    sequence=int(raw["sequence"]),
-                    original_quantity_kw=float(raw["original_quantity_kw"]),
+                    sequence=raw["sequence"],
+                    original_quantity_kw=raw["original_quantity_kw"],
                 )
-            )
+            except MarketError as exc:
+                raise InputError(f"{path}: {exc}") from None
+            pool.append(bid)
     for raw in data["accepted_matches"]:
-        record = MatchRecord(
-            match_id=raw["match_id"],
-            offer_id=raw["offer_id"],
-            request_id=raw["request_id"],
-            inject_bus=raw["inject_bus"],
-            withdraw_bus=raw["withdraw_bus"],
-            quantity_kw=float(raw["quantity_kw"]),
-            price_eur_per_kw=float(raw["price_eur_per_kw"]),
-            conditionality=raw["conditionality"],
-            round=int(raw["round"]),
+        book._accept(
+            MatchRecord(
+                match_id=raw["match_id"],
+                offer_id=raw["offer_id"],
+                request_id=raw["request_id"],
+                inject_bus=raw["inject_bus"],
+                withdraw_bus=raw["withdraw_bus"],
+                quantity_kw=raw["quantity_kw"],
+                price_eur_per_kw=raw["price_eur_per_kw"],
+                conditionality=raw["conditionality"],
+                round=raw["round"],
+            )
         )
-        book.accepted.append(record)
-        alpha = book.ptdf.column(record.inject_bus) - book.ptdf.column(record.withdraw_bus)
-        book._deltas.append(alpha * record.quantity_kw)
     return book
 
 
@@ -430,12 +496,14 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
 
 
 def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = 1e-6):
-    """Exhaustively audit the cleared state a trade log describes.
+    """Audit every activation subset of the cleared state a trade log describes.
 
     Rebuilds the final baseline by replaying the unconditional trades in
-    log order, collects the conditional matches, and solves every
-    activation subset with the independent oracle. Returns the list of
-    violating subsets; empty means the procurement is activation-safe.
+    log order, collects the conditional matches, and solves the worst
+    activation subsets of every line with the independent oracle
+    (:func:`~flexmarket.oracle.worst_subset_check`), which covers all
+    subsets for any number of matches. Returns the violating subsets;
+    empty means the procurement is activation-safe.
     """
     network, baseline = load_network(network_path)
     bids = {bid.id: bid for bid in load_bids(bids_path)}
@@ -465,4 +533,4 @@ def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = 
                     round=entry.round,
                 )
             )
-    return exhaustive_subset_check(network, dispatch, conditional, tolerance_kw)
+    return worst_subset_check(network, dispatch, conditional, tolerance_kw)

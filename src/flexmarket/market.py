@@ -11,22 +11,22 @@ re-evaluation of the resting offers, which may unlock bids that were
 previously blocked by congestion.
 
 The book is a single-writer state machine: submissions, matching and
-baseline updates are strictly serialized. Only the evaluation of a
-combination set is side-effect free and may be fanned out across
-threads; its result is reduced with an elementwise minimum and is
-therefore identical to sequential evaluation.
+baseline updates are strictly serialized. Because line flows are linear
+in each activation, every policy reduces to capping the candidate
+against a small, fixed stack of flow vectors built from running sums of
+the accepted matches' flow changes; no policy enumerates subsets.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from .errors import CombinationLimitError, MarketError, UnknownBusError
+from .errors import MarketError, UnknownBusError
 from .grid import (
     ALPHA_TOL,
     DOWN,
@@ -70,17 +70,14 @@ OUTCOME_PARTIAL = "partial(congestion)"
 OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 OUTCOME_REJECTED_PRICE = "rejected(price)"
 
-# Combination indicators are expanded in chunks of this many rows to
-# bound memory when the policy enumerates every subset.
-_CHUNK_ROWS = 1 << 13
-
 
 @dataclass(frozen=True)
 class FeasibilityPolicy:
     """Which activation combinations must be line-feasible before a match.
 
     ``individual`` checks the candidate alone on the baseline;
-    ``cumulative`` checks it on top of all accepted conditional matches;
+    ``cumulative`` checks it on top of all accepted conditional matches
+    (an unconditional candidate also alone, as it moves the baseline);
     ``individual_and_cumulative`` requires both; ``all_combinations``
     checks every subset of accepted conditional matches; ``scenarios``
     checks the supplied activation subsets (named by match id) plus,
@@ -128,10 +125,10 @@ class Bid:
             raise MarketError(f"bid {self.id}: unknown side {self.side!r}")
         if self.direction not in (UP, DOWN):
             raise MarketError(f"bid {self.id}: unknown direction {self.direction!r}")
-        if not self.quantity_kw > 0:
-            raise MarketError(f"bid {self.id}: quantity_kw must be > 0")
-        if self.price_eur_per_kw < 0:
-            raise MarketError(f"bid {self.id}: price_eur_per_kw must be >= 0")
+        if not (math.isfinite(self.quantity_kw) and self.quantity_kw > 0):
+            raise MarketError(f"bid {self.id}: quantity_kw must be finite and > 0")
+        if not (math.isfinite(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
+            raise MarketError(f"bid {self.id}: price_eur_per_kw must be finite and >= 0")
         if self.side == REQUEST:
             if self.conditionality not in (CONDITIONAL, UNCONDITIONAL):
                 raise MarketError(
@@ -204,13 +201,9 @@ class OrderBook:
         baseline: DispatchState,
         policy: FeasibilityPolicy,
         *,
-        max_combinations: int = 20,
         tolerance_kw: float = QUANTITY_TOL,
         order: str = ORDER_FIFO,
-        parallel: bool = False,
     ):
-        if max_combinations < 1:
-            raise MarketError("max_combinations must be >= 1")
         if not tolerance_kw > 0:
             raise MarketError("tolerance_kw must be > 0")
         if order not in (ORDER_FIFO, ORDER_BEST_PRICE):
@@ -221,10 +214,8 @@ class OrderBook:
 
         self.network = network
         self.policy = policy
-        self.max_combinations = max_combinations
         self.tolerance_kw = tolerance_kw
         self.order = order
-        self.parallel = parallel
 
         self.ptdf = build_ptdf(network)
         self._limits = network.limit_vector()
@@ -234,7 +225,12 @@ class OrderBook:
         self.requests: list = []
         self.offers: list = []
         self.accepted: list = []  # conditional MatchRecords, acceptance order
-        self._deltas: list = []  # per accepted match: line-flow change at full activation
+        # Running sums of the accepted matches' line-flow changes at full
+        # activation: all of them (S), their positive and negative parts
+        # (P, N), and those of each named scenario (S_k).
+        n_lines = len(network.lines)
+        self._sum, self._rise, self._fall = np.zeros((3, n_lines))
+        self._scenario_sums = np.zeros((len(policy.scenarios), n_lines))
         self.trade_log: list = []
         self.round = 0
         self._sequence = 0
@@ -299,10 +295,11 @@ class OrderBook:
         Evaluates the candidate exchange against every combination the
         policy mandates, each applied in full on top of the baseline,
         and returns the smallest allowance (zero when some mandated
-        combination leaves no headroom).
+        combination leaves no headroom). The candidate is checked as a
+        conditional match.
         """
         inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
-        quantity, _ = self._evaluate_candidate(inject_bus, withdraw_bus, quantity_kw)
+        quantity, _ = self._evaluate_candidate(inject_bus, withdraw_bus, quantity_kw, CONDITIONAL)
         return quantity
 
     def activation_snapshot(self, match_ids: Iterable) -> DispatchState:
@@ -372,7 +369,9 @@ class OrderBook:
             price = price_match(earlier, later)
             quantity = min(offer.quantity_kw, request.quantity_kw)
             inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
-            admissible, binding = self._evaluate_candidate(inject_bus, withdraw_bus, quantity)
+            admissible, binding = self._evaluate_candidate(
+                inject_bus, withdraw_bus, quantity, request.conditionality
+            )
             if admissible <= 0:
                 self._log(offer, request, 0.0, price, OUTCOME_REJECTED_CONGESTION, binding)
                 continue
@@ -403,11 +402,21 @@ class OrderBook:
             if record.conditionality == UNCONDITIONAL:
                 self._apply_to_baseline(record)
             else:
-                alpha = self.ptdf.column(inject_bus) - self.ptdf.column(withdraw_bus)
-                self.accepted.append(record)
-                self._deltas.append(alpha * admissible)
+                self._accept(record)
             matches.append(record)
         return matches
+
+    def _accept(self, record: MatchRecord) -> None:
+        """Add a conditional match to the combination set and its running sums."""
+        alpha = self.ptdf.column(record.inject_bus) - self.ptdf.column(record.withdraw_bus)
+        delta = alpha * record.quantity_kw
+        self.accepted.append(record)
+        self._sum += delta
+        self._rise += np.maximum(delta, 0.0)
+        self._fall += np.minimum(delta, 0.0)
+        for total, scenario in zip(self._scenario_sums, self.policy.scenarios):
+            if record.match_id in scenario:
+                total += delta
 
     def _fill(self, bid: Bid, quantity: float) -> None:
         bid.quantity_kw -= quantity
@@ -442,37 +451,32 @@ class OrderBook:
     # ------------------------------------------------------------------
     # network checks
 
-    def _indicator_chunks(self):
-        """Yield 0/1 activation indicators, one row per mandated combination."""
-        count = len(self.accepted)
-        if count == 0 or self.policy.variant == INDIVIDUAL:
-            yield np.zeros((1, count))
-            return
-        if self.policy.variant == CUMULATIVE:
-            yield np.ones((1, count))
-            return
-        if self.policy.variant == INDIVIDUAL_AND_CUMULATIVE:
-            yield np.vstack([np.zeros(count), np.ones(count)])
-            return
-        if self.policy.variant == SCENARIOS:
-            ids = [rec.match_id for rec in self.accepted]
-            rows = [np.zeros(count)]  # the candidate alone is always checked
-            for scenario in self.policy.scenarios:
-                rows.append(np.array([1.0 if mid in scenario else 0.0 for mid in ids]))
-            yield np.vstack(rows)
-            return
-        if count > self.max_combinations:
-            raise CombinationLimitError(
-                f"{count} accepted conditional matches exceed the all_combinations "
-                f"cap of {self.max_combinations}; raise the cap or switch to the "
-                f"scenarios policy"
-            )
-        bits = np.arange(count)
-        for lo in range(0, 1 << count, _CHUNK_ROWS):
-            masks = np.arange(lo, min(lo + _CHUNK_ROWS, 1 << count), dtype=np.int64)
-            yield ((masks[:, None] >> bits) & 1).astype(float)
+    def _flow_stack(self, conditionality: str) -> np.ndarray:
+        """Line flows of every activation state the policy mandates, one row each.
 
-    def _evaluate_candidate(self, inject_bus, withdraw_bus, quantity_kw: float):
+        Flows are linear in each activation, so over all subsets of the
+        accepted matches a line's flow is highest with exactly its
+        positive changes active (f+P) and lowest with its negative ones
+        (f+N): two rows cover every subset. An unconditional candidate
+        moves the baseline for good, so it must also fit without the
+        conditional set, which only ``cumulative`` would otherwise skip.
+        """
+        f = self._flows
+        variant = self.policy.variant
+        if variant == INDIVIDUAL:
+            return f[None, :]
+        if variant == CUMULATIVE and conditionality != UNCONDITIONAL:
+            return (f + self._sum)[None, :]
+        if variant in (CUMULATIVE, INDIVIDUAL_AND_CUMULATIVE):
+            return np.vstack([f, f + self._sum])
+        if variant == ALL_COMBINATIONS:
+            return np.vstack([f + self._rise, f + self._fall])
+        # scenarios: the candidate alone is always checked
+        return np.vstack([f, f + self._scenario_sums])
+
+    def _evaluate_candidate(
+        self, inject_bus, withdraw_bus, quantity_kw: float, conditionality: str
+    ):
         """Cap a candidate exchange against every mandated combination.
 
         Returns the admissible quantity and the labels of the lines whose
@@ -484,22 +488,8 @@ class OrderBook:
         if not np.any(np.abs(alpha) > ALPHA_TOL):
             return float(quantity_kw), ()
 
-        n_lines = len(self.network.lines)
-        deltas = (
-            np.vstack(self._deltas) if self._deltas else np.zeros((0, n_lines))
-        )
-
-        def per_line_min(indicator: np.ndarray) -> np.ndarray:
-            variant_flows = self._flows + indicator @ deltas
-            return quantity_caps(alpha, variant_flows, self._limits).min(axis=0)
-
-        chunks = list(self._indicator_chunks())
-        if self.parallel and len(chunks) > 1:
-            with ThreadPoolExecutor() as pool:
-                minima = list(pool.map(per_line_min, chunks))
-        else:
-            minima = [per_line_min(chunk) for chunk in chunks]
-        line_minima = np.minimum.reduce(minima)
+        stack = self._flow_stack(conditionality)
+        line_minima = quantity_caps(alpha, stack, self._limits).min(axis=0)
 
         quantity = min(float(quantity_kw), float(line_minima.min()))
         if quantity < self.tolerance_kw:

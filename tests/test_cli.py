@@ -138,3 +138,26 @@ def test_book_pretty_print(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "offer2: down 20 kW of 40 kW" in text
     assert "accepted conditional matches" in text
+
+
+def test_book_rejects_a_truncated_dump(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--network", str(DATA / "fifteen_bus.yaml")]
+    assert main(args + ["--bids", str(DATA / "bids_fifteen_bus.jsonl"), "--out", str(out)]) == 0
+    dump = json.loads((out / "book.json").read_text())
+    del dump["offers"][1]["original_quantity_kw"]
+    (out / "book.json").write_text(json.dumps(dump))
+    capsys.readouterr()
+    assert main(["book", "--book", str(out / "book.json")]) == 2
+    assert "offers[1]: missing ['original_quantity_kw']" in capsys.readouterr().err
+
+
+def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        "buses: [1, 2]\nslack_bus: 1\n"
+        "lines:\n  - {from_bus: 1, to_bus: 2, reactance: low, limit_kw: 5}\n"
+    )
+    code = main(["run", "--network", str(path), "--bids", str(DATA / "bids_reevaluation.jsonl")])
+    assert code == 2
+    assert "reactance: expected a number" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from flexmarket import (
@@ -83,6 +85,19 @@ class TestLoadNetwork:
         with pytest.raises(InputError):
             load_network(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("field, value", [("reactance", "0.1"), ("limit_kw", "60")])
+    def test_non_numeric_line_field_is_an_input_error(self, tmp_path, field, value):
+        path = write_three_bus(tmp_path)
+        path.write_text(path.read_text().replace(f"{field}: {value}", f"{field}: abc", 1))
+        with pytest.raises(InputError, match=f"line #1 {field}: expected a number"):
+            load_network(path)
+
+    @pytest.mark.parametrize("value", ["abc", ".nan", "[1]"])
+    def test_bad_injection_is_an_input_error(self, tmp_path, value):
+        path = write_three_bus(tmp_path, injections=f"  2: {value}\n  3: -20")
+        with pytest.raises(InputError, match="injection_kw of bus 2"):
+            load_network(path)
+
 
 class TestLoadBids:
     def test_bundled_fifteen_bus_stream(self):
@@ -143,6 +158,27 @@ class TestLoadBids:
             '"quantity_kw": 5, "price_eur_per_kw": 0.1, "volume": 3}\n'
         )
         with pytest.raises(InputError, match="volume"):
+            load_bids(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quantity_kw", '"lots"'),
+            ("quantity_kw", "NaN"),
+            ("price_eur_per_kw", '"cheap"'),
+            ("price_eur_per_kw", "Infinity"),
+            ("price_eur_per_kw", "null"),
+        ],
+    )
+    def test_bad_number_is_an_input_error(self, tmp_path, field, value):
+        numbers = {"quantity_kw": "5", "price_eur_per_kw": "0.1", field: value}
+        path = tmp_path / "bids.jsonl"
+        path.write_text(
+            '{"id": "o", "side": "offer", "direction": "up", "bus": 1, '
+            + ", ".join(f'"{key}": {raw}' for key, raw in numbers.items())
+            + "}\n"
+        )
+        with pytest.raises(InputError, match=rf"bids.jsonl:1: {field}: expected a"):
             load_bids(path)
 
 
@@ -251,3 +287,31 @@ class TestBookRoundTrip:
         reloaded_matches = reloaded.submit_bid(twin)
         assert [m.quantity_kw for m in original_matches] == [m.quantity_kw for m in reloaded_matches]
         assert trade_log_lines(result.book.trade_log[-1:]) == trade_log_lines(reloaded.trade_log[-1:])
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda d: d.pop("accepted_matches"), r"missing \['accepted_matches'\]"),
+            (lambda d: d["offers"][0].pop("sequence"), r"offers\[0\]: missing \['sequence'\]"),
+            (lambda d: d["accepted_matches"][0].pop("quantity_kw"), r"accepted_matches\[0\]"),
+            (lambda d: d.update(round="late"), "round: expected a number"),
+            (lambda d: d.update(offers={}), "offers is not a list"),
+        ],
+    )
+    def test_truncated_dump_is_an_input_error(self, tmp_path, damage, message):
+        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(result.book)
+        damage(data)
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(data))
+        network, _ = load_network(DATA / "fifteen_bus.yaml")
+        with pytest.raises(InputError, match=message):
+            load_book(path, network, MarketConfig())
+
+    def test_cut_off_dump_is_an_input_error(self, tmp_path):
+        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        path = tmp_path / "book.json"
+        path.write_text(book_json(result.book)[:200])
+        network, _ = load_network(DATA / "fifteen_bus.yaml")
+        with pytest.raises(InputError, match="invalid JSON"):
+            load_book(path, network, MarketConfig())

@@ -2,7 +2,6 @@ import pytest
 
 from flexmarket import (
     Bid,
-    CombinationLimitError,
     DispatchState,
     FeasibilityPolicy,
     Line,
@@ -13,6 +12,7 @@ from flexmarket import (
     line_flows,
     price_match,
 )
+from flexmarket.oracle import dc_solve, flow_violations
 from flexmarket.market import (
     ALL_COMBINATIONS,
     CUMULATIVE,
@@ -84,6 +84,16 @@ class TestBidValidation:
     def test_unknown_direction(self):
         with pytest.raises(MarketError, match="direction"):
             offer("o", "sideways", "1", 10, 0.05)
+
+    @pytest.mark.parametrize("quantity", [float("nan"), float("inf")])
+    def test_quantity_must_be_finite(self, quantity):
+        with pytest.raises(MarketError, match="quantity_kw must be finite"):
+            offer("o", "up", "1", quantity, 0.05)
+
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
+    def test_price_must_be_finite(self, price):
+        with pytest.raises(MarketError, match="price_eur_per_kw must be finite"):
+            request("r", "up", "1", 10, price)
 
 
 class TestSubmission:
@@ -256,15 +266,20 @@ class TestCombinationFeasibility:
         with pytest.raises(MarketError):
             FeasibilityPolicy(SCENARIOS)
 
-    def test_all_combinations_growth_guard(self, three_bus):
-        book = make_book(three_bus, policy=ALL_COMBINATIONS, max_combinations=1)
-        book.submit_bid(request("r1", "down", "1", 2, 0.05))
-        book.submit_bid(offer("o1", "down", "2", 2, 0.045))
-        book.submit_bid(request("r2", "down", "1", 2, 0.05))
-        book.submit_bid(offer("o2", "down", "2", 2, 0.045))
-        assert len(book.accepted) == 2
-        with pytest.raises(CombinationLimitError, match="scenarios"):
-            book.check_combination_feasibility("2", "1", "up", 1.0)
+    def test_cumulative_checks_an_unconditional_candidate_alone_too(self, three_bus):
+        # The conditional r1/o1 relieves line 2-3 to 10 kW, but only if it
+        # is activated; an unconditional match moves the baseline for good
+        # and must fit on the bare baseline, where line 2-3 is at its limit.
+        network, _ = three_bus
+        book = make_book(three_bus, policy=CUMULATIVE)
+        book.submit_bid(request("r1", "up", "2", 10, 0.05))
+        book.submit_bid(offer("o1", "up", "3", 10, 0.045))
+        book.submit_bid(request("r2", "up", "3", 10, 0.05, "unconditional"))
+        assert book.submit_bid(offer("o2", "up", "2", 10, 0.045)) == []
+        assert book.trade_log[-1].outcome == OUTCOME_REJECTED_CONGESTION
+        assert book.trade_log[-1].binding_lines == ("2-3",)
+        assert flow_violations(network, dc_solve(network, book.baseline)) == []
+        assert book.flows == pytest.approx(dc_solve(network, book.baseline))
 
 
 class TestActivationSnapshot:
@@ -330,16 +345,3 @@ class TestCounterpartyOrder:
     def test_best_price_prefers_the_higher_request(self, three_bus):
         book = self.setup_two_requests(three_bus, order="best_price")
         assert book.trade_log[-1].request_id == "rich"
-
-
-class TestParallelDeterminism:
-    def test_parallel_and_sequential_logs_agree(self, three_bus):
-        logs = []
-        for parallel in (False, True):
-            book = make_book(three_bus, policy=ALL_COMBINATIONS, parallel=parallel)
-            book.submit_bid(request("r1", "down", "1", 4, 0.05))
-            book.submit_bid(offer("o1", "down", "2", 4, 0.045))
-            book.submit_bid(request("r2", "up", "2", 30, 0.05))
-            book.submit_bid(offer("o2", "up", "1", 30, 0.045))
-            logs.append(book.trade_log)
-        assert logs[0] == logs[1]

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from flexmarket import DispatchState, MatchRecord, UnknownBusError
-from flexmarket.oracle import dc_solve, exhaustive_subset_check, flow_violations
+from flexmarket.oracle import (
+    dc_solve,
+    exhaustive_subset_check,
+    flow_violations,
+    worst_subset_check,
+)
 
 from conftest import random_tree_network
 
@@ -95,3 +100,38 @@ class TestExhaustiveSubsetCheck:
         matches = [record(f"m{i}", "1", "2", 0.001) for i in range(21)]
         with pytest.raises(ValueError):
             exhaustive_subset_check(network, dispatch, matches)
+
+
+class TestWorstSubsetCheck:
+    def test_empty_match_set_is_clean(self, three_bus):
+        network, dispatch = three_bus
+        assert worst_subset_check(network, dispatch, []) == []
+
+    def test_joint_overload_is_found_on_the_rising_subset(self, three_bus):
+        network, dispatch = three_bus
+        matches = [record("m1", "1", "2", 10.0), record("m2", "1", "2", 20.0)]
+        reports = worst_subset_check(network, dispatch, matches)
+        assert [r.subset for r in reports] == [("m1", "m2")]
+        assert reports[0].violations == (("1-2", pytest.approx(10.0)),)
+
+    def test_relief_chain_is_flagged_without_its_enablers(self, three_bus):
+        # m3 raises line 2-3 and m2 lowers it, so the worst subset for 2-3
+        # holds m3 but not m2 (m1 leaves 2-3 alone either way).
+        network, dispatch = three_bus
+        matches = [
+            record("m1", "2", "1", 20.0),
+            record("m2", "3", "1", 30.0),
+            record("m3", "2", "3", 20.0),
+        ]
+        (report,) = worst_subset_check(network, dispatch, matches)
+        assert "m3" in report.subset and "m2" not in report.subset
+        assert report.violations == (("2-3", pytest.approx(20.0)),)
+
+    def test_audits_match_sets_beyond_exhaustive_reach(self, three_bus):
+        network, dispatch = three_bus
+        safe = [record(f"m{i}", "1", "2", 0.5) for i in range(40)]
+        assert worst_subset_check(network, dispatch, safe) == []
+        unsafe = safe + [record("m40", "1", "2", 0.5)]  # 20.5 kW on 20 kW of headroom
+        reports = worst_subset_check(network, dispatch, unsafe)
+        assert [len(r.subset) for r in reports] == [41]
+        assert reports[0].violations == (("1-2", pytest.approx(0.5)),)

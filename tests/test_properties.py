@@ -9,6 +9,7 @@ from flexmarket import (
     DispatchState,
     FeasibilityPolicy,
     Line,
+    MatchRecord,
     Network,
     OrderBook,
     build_ptdf,
@@ -16,7 +17,17 @@ from flexmarket import (
     max_tradable_quantity,
 )
 from flexmarket.market import ALL_COMBINATIONS, OUTCOME_MATCHED, OUTCOME_PARTIAL
-from flexmarket.oracle import dc_solve, exhaustive_subset_check, flow_violations
+from flexmarket.oracle import (
+    dc_solve,
+    exhaustive_subset_check,
+    flow_violations,
+    worst_subset_check,
+)
+
+#: Agreement bound between the closed-form check and brute-force
+#: enumeration, fixed before either is run: a few times the engine's
+#: 1e-6 kW quantity tolerance, far below any quantity a bid can carry.
+BRUTE_FORCE_TOL_KW = 1e-5
 
 
 @st.composite
@@ -210,14 +221,88 @@ def test_clearing_invariants_on_random_streams(case, raw):
             assert allowed == 0.0
 
 
-@settings(max_examples=30, deadline=None)
-@given(tree_cases(), bid_stream_strategy())
-def test_parallel_evaluation_is_equivalent(case, raw):
+@settings(max_examples=40, deadline=None)
+@given(
+    tree_cases(),
+    st.lists(
+        st.tuples(st.sampled_from(["up", "down"]), st.integers(0, 10 ** 6), st.integers(1, 40)),
+        min_size=2,
+        max_size=24,
+    ),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["up", "down"]),
+    st.floats(1.0, 150.0),
+)
+def test_all_combinations_check_equals_brute_force(case, raw, req_pick, off_pick, direction, quantity):
     network, dispatch = case
-    logs = []
-    for parallel in (False, True):
-        book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS), parallel=parallel)
-        for bid in build_bids(raw, network):
-            book.submit_bid(bid)
-        logs.append(book.trade_log)
-    assert logs[0] == logs[1]
+    book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS))
+    # Conditional requests alternate with offers whose prices always cross,
+    # so most pairs clear and the accepted set pulls lines both ways.
+    for i, (bid_direction, bus_pick, bid_quantity) in enumerate(raw):
+        if len(book.accepted) >= 10:
+            break
+        is_request = i % 2 == 0
+        book.submit_bid(
+            Bid(
+                f"b{i + 1}",
+                "request" if is_request else "offer",
+                bid_direction,
+                network.buses[bus_pick % len(network.buses)],
+                float(bid_quantity),
+                0.05 if is_request else 0.04,
+                "conditional" if is_request else None,
+            )
+        )
+    request_bus = network.buses[req_pick % len(network.buses)]
+    offer_bus = network.buses[off_pick % len(network.buses)]
+
+    # Brute force: the candidate's own cap on every one of the 2^M
+    # activation states of the accepted matches, then the smallest.
+    ids = [m.match_id for m in book.accepted]
+    brute = min(
+        max_tradable_quantity(
+            network,
+            book.ptdf,
+            book.activation_snapshot([i for bit, i in enumerate(ids) if mask >> bit & 1]),
+            request_bus,
+            offer_bus,
+            direction,
+            quantity,
+        )
+        for mask in range(1 << len(ids))
+    )
+    closed_form = book.check_combination_feasibility(request_bus, offer_bus, direction, quantity)
+    assert abs(closed_form - brute) <= BRUTE_FORCE_TOL_KW
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree_cases(),
+    st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.floats(0.5, 80.0)),
+        max_size=10,
+    ),
+)
+def test_worst_subset_check_agrees_with_exhaustive(case, raw):
+    network, dispatch = case
+    buses = network.buses
+    matches = [
+        MatchRecord(
+            match_id=f"m{k + 1}",
+            offer_id=f"o{k + 1}",
+            request_id=f"r{k + 1}",
+            inject_bus=buses[a % len(buses)],
+            withdraw_bus=buses[b % len(buses)],
+            quantity_kw=quantity,
+            price_eur_per_kw=0.05,
+            conditionality="conditional",
+            round=k + 1,
+        )
+        for k, (a, b, quantity) in enumerate(raw)
+    ]
+    exhaustive = exhaustive_subset_check(network, dispatch, matches)
+    worst = worst_subset_check(network, dispatch, matches)
+    assert bool(worst) == bool(exhaustive)
+    # every reported worst subset is one the exhaustive audit flags too
+    assert {r.subset for r in worst} <= {r.subset for r in exhaustive}
