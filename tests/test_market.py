@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from flexmarket import (
@@ -345,3 +347,50 @@ class TestCounterpartyOrder:
     def test_best_price_prefers_the_higher_request(self, three_bus):
         book = self.setup_two_requests(three_bus, order="best_price")
         assert book.trade_log[-1].request_id == "rich"
+
+
+def replay_in_threads(make, streams):
+    """Replay each bid stream on its own fresh book, all threads at once.
+
+    The threads wait on a barrier so their submissions interleave; each
+    returns its book's trade log (None if the thread did not finish).
+    """
+    logs = [None] * len(streams)
+    start = threading.Barrier(len(streams))
+
+    def run(slot):
+        book = make()
+        start.wait(timeout=10)
+        for bid in streams[slot]():
+            book.submit_bid(bid)
+        logs[slot] = book.trade_log
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(len(streams))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    return logs
+
+
+class TestParallelDeterminism:
+    """Books share no state: concurrent replays log what sequential ones do."""
+
+    @staticmethod
+    def stream():
+        return [
+            request("r1", "down", "1", 4, 0.05),
+            offer("o1", "down", "2", 4, 0.045),
+            request("r2", "up", "2", 30, 0.05),
+            offer("o2", "up", "1", 30, 0.045),
+        ]
+
+    def test_parallel_and_sequential_logs_agree(self, three_bus):
+        sequential = make_book(three_bus, policy=ALL_COMBINATIONS)
+        for bid in self.stream():
+            sequential.submit_bid(bid)
+        assert sequential.trade_log  # the stream clears something
+        concurrent = replay_in_threads(
+            lambda: make_book(three_bus, policy=ALL_COMBINATIONS), [self.stream] * 4
+        )
+        assert concurrent == [sequential.trade_log] * 4

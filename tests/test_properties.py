@@ -1,5 +1,7 @@
 """Property-based checks of the grid math and the clearing invariants."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,3 +308,25 @@ def test_worst_subset_check_agrees_with_exhaustive(case, raw):
     assert bool(worst) == bool(exhaustive)
     # every reported worst subset is one the exhaustive audit flags too
     assert {r.subset for r in worst} <= {r.subset for r in exhaustive}
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree_cases(), bid_stream_strategy())
+def test_parallel_evaluation_is_equivalent(case, raw):
+    """Random streams logged on books in concurrent threads match sequential replays."""
+    network, dispatch = case
+
+    def replay(slot):
+        book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS))
+        for bid in build_bids(raw, network):
+            book.submit_bid(bid)
+        logs[slot] = book.trade_log
+
+    logs = [None] * 3
+    replay(0)
+    threads = [threading.Thread(target=replay, args=(slot,)) for slot in (1, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert logs[1] == logs[0] and logs[2] == logs[0]
