@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import yaml
@@ -138,6 +139,13 @@ def load_network(path, require_feasible: bool = True):
     for key in ("buses", "slack_bus", "lines"):
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
+    for key, kind, name in (
+        ("buses", list, "a list"),
+        ("lines", list, "a list"),
+        ("injection_kw", (dict, type(None)), "a mapping of bus to kW"),
+    ):
+        if not isinstance(data.get(key), kind):
+            raise InputError(f"{path}: {key} must be {name}")
 
     buses = [str(b) for b in data["buses"]]
     slack = str(data["slack_bus"])
@@ -294,24 +302,40 @@ def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> R
 # trade log serialization
 
 
+# One trade-log line: the bytes ``json.dumps(record, sort_keys=True)`` gives.
+_TRADE_LINE = (
+    '{"binding_lines": [%s], "offer_id": %s, "outcome": %s, "price_eur_per_kw": %s, '
+    '"quantity_kw": %s, "request_id": %s, "round": %s}'
+)
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value)``, with the types the engine logs formatted directly."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):  # numpy float64 included
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def trade_log_lines(entries) -> list:
-    lines = []
-    for entry in entries:
-        lines.append(
-            json.dumps(
-                {
-                    "round": entry.round,
-                    "offer_id": entry.offer_id,
-                    "request_id": entry.request_id,
-                    "quantity_kw": entry.quantity_kw,
-                    "price_eur_per_kw": entry.price_eur_per_kw,
-                    "outcome": entry.outcome,
-                    "binding_lines": list(entry.binding_lines),
-                },
-                sort_keys=True,
-            )
+    """One JSON object per entry, keys sorted, byte for byte as ``json.dumps`` writes it."""
+    value = _json_value
+    return [
+        _TRADE_LINE % (
+            ", ".join(map(value, entry.binding_lines)),
+            value(entry.offer_id),
+            value(entry.outcome),
+            value(entry.price_eur_per_kw),
+            value(entry.quantity_kw),
+            value(entry.request_id),
+            value(entry.round),
         )
-    return lines
+        for entry in entries
+    ]
 
 
 def write_trade_log(entries, path) -> None:
@@ -450,44 +474,42 @@ def read_book_dump(path) -> dict:
 
 
 def load_book(path, network, config: MarketConfig) -> OrderBook:
-    """Rebuild an order book from a dump; inverse of :func:`dump_book`."""
+    """Rebuild an order book from a dump; inverse of :func:`dump_book`.
+
+    The resting bids may be listed in any order. A dump the book could
+    not have written, such as one with duplicate bid ids or sequence
+    numbers or naming an unknown bus, raises :class:`InputError`.
+    """
     data = read_book_dump(path)
     book = new_book(network, DispatchState(data["injection_kw"]), config)
-    book.round = data["round"]
-    book._sequence = data["sequence"]
-    book._match_counter = data["match_counter"]
-    book._seen_ids = set(map(str, data["seen_ids"]))
-    for pool, records in ((book.requests, data["requests"]), (book.offers, data["offers"])):
-        for raw in records:
-            try:
-                bid = Bid(
-                    id=raw["id"],
-                    side=raw["side"],
-                    direction=raw["direction"],
-                    bus=raw["bus"],
-                    quantity_kw=raw["quantity_kw"],
-                    price_eur_per_kw=raw["price_eur_per_kw"],
-                    conditionality=raw.get("conditionality"),
-                    sequence=raw["sequence"],
-                    original_quantity_kw=raw["original_quantity_kw"],
-                )
-            except MarketError as exc:
-                raise InputError(f"{path}: {exc}") from None
-            pool.append(bid)
-    for raw in data["accepted_matches"]:
-        book._accept(
-            MatchRecord(
-                match_id=raw["match_id"],
-                offer_id=raw["offer_id"],
-                request_id=raw["request_id"],
-                inject_bus=raw["inject_bus"],
-                withdraw_bus=raw["withdraw_bus"],
+    try:
+        resting = [
+            Bid(
+                id=raw["id"],
+                side=raw["side"],
+                direction=raw["direction"],
+                bus=raw["bus"],
                 quantity_kw=raw["quantity_kw"],
                 price_eur_per_kw=raw["price_eur_per_kw"],
-                conditionality=raw["conditionality"],
-                round=raw["round"],
+                conditionality=raw.get("conditionality"),
+                sequence=raw["sequence"],
+                original_quantity_kw=raw["original_quantity_kw"],
             )
+            for raw in data["requests"] + data["offers"]
+        ]
+        book.restore(
+            round=data["round"],
+            sequence=data["sequence"],
+            match_counter=data["match_counter"],
+            seen_ids=map(str, data["seen_ids"]),
+            resting=resting,
+            accepted=[
+                MatchRecord(**{key: raw[key] for key in _DUMP_MATCH_FIELDS})
+                for raw in data["accepted_matches"]
+            ],
         )
+    except (MarketError, NetworkError) as exc:
+        raise InputError(f"{path}: {exc}") from None
     return book
 
 

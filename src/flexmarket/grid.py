@@ -150,11 +150,18 @@ class PtdfMatrix:
     buses: tuple
     line_labels: tuple
     slack_bus: Hashable
+    _positions: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_positions", {b: i for i, b in enumerate(self.buses)})
+
+    def __contains__(self, bus) -> bool:
+        return bus in self._positions
 
     def bus_position(self, bus) -> int:
         try:
-            return self.buses.index(bus)
-        except ValueError:
+            return self._positions[bus]
+        except (KeyError, TypeError):
             raise UnknownBusError(f"unknown bus {bus!r}") from None
 
     def column(self, bus) -> np.ndarray:

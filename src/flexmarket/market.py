@@ -19,10 +19,12 @@ the accepted matches' flow changes; no policy enumerates subsets.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from operator import attrgetter
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +71,8 @@ OUTCOME_MATCHED = "matched"
 OUTCOME_PARTIAL = "partial(congestion)"
 OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 OUTCOME_REJECTED_PRICE = "rejected(price)"
+
+_SEQUENCE = attrgetter("sequence")
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,13 @@ class MatchRecord:
     round: int
 
 
-@dataclass(frozen=True)
-class TradeLogEntry:
-    """One examined offer/request pairing and its outcome."""
+class TradeLogEntry(NamedTuple):
+    """One examined offer/request pairing and its outcome.
+
+    An immutable named tuple: one is built for every pairing examined,
+    so construction must be cheap. It compares equal to a plain tuple
+    of the same values.
+    """
 
     round: int
     offer_id: str
@@ -317,12 +325,56 @@ class OrderBook:
     def cancel_bid(self, bid_id: str) -> Bid:
         """Remove the unmatched remainder of a live bid. Trades stand."""
         for pool in (self.requests, self.offers):
-            for bid in pool:
+            for i, bid in enumerate(pool):
                 if bid.id == bid_id:
-                    pool.remove(bid)
+                    del pool[i]
                     logger.info("cancelled %s (remainder %g kW)", bid_id, bid.quantity_kw)
                     return bid
         raise MarketError(f"no live bid with id {bid_id!r}")
+
+    def restore(
+        self,
+        *,
+        round: int,
+        sequence: int,
+        match_counter: int,
+        seen_ids: Iterable,
+        resting: Iterable,
+        accepted: Iterable,
+    ) -> None:
+        """Resume a fresh book from the state of an earlier session.
+
+        ``resting`` are the bids still in the book, in any order; each
+        pool is rebuilt in sequence order, which is the order clearing
+        relies on. ``accepted`` are the conditional matches in acceptance
+        order. Raises :class:`MarketError` for a state the book could
+        not have reached: duplicate bid ids or sequence numbers, or a
+        sequence number after ``sequence``.
+        """
+        if self.round or self._seen_ids:
+            raise MarketError("restore needs a fresh book")
+        resting = sorted(resting, key=_SEQUENCE)
+        for what, key in (("bid id", attrgetter("id")), ("sequence number", _SEQUENCE)):
+            values: set = set()
+            for bid in resting:
+                if key(bid) in values:
+                    raise MarketError(f"duplicate {what} {key(bid)!r} among resting bids")
+                values.add(key(bid))
+        for bid in resting:
+            if bid.bus not in self.ptdf:
+                raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
+        if resting and resting[-1].sequence > sequence:
+            raise MarketError(
+                f"bid {resting[-1].id}: sequence {resting[-1].sequence} is after {sequence}"
+            )
+        self.round = round
+        self._sequence = sequence
+        self._match_counter = match_counter
+        self._seen_ids = set(seen_ids).union(bid.id for bid in resting)
+        for bid in resting:
+            (self.offers if bid.side == OFFER else self.requests).append(bid)
+        for record in accepted:
+            self._accept(record)
 
     # ------------------------------------------------------------------
     # matching internals
@@ -339,15 +391,17 @@ class OrderBook:
     def _validate_bid(self, bid: Bid) -> None:
         if bid.id in self._seen_ids:
             raise MarketError(f"duplicate bid id {bid.id!r}")
-        if bid.bus not in set(self.network.buses):
+        if bid.bus not in self.ptdf:
             raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
 
     def _counterparties(self, incoming: Bid) -> list:
+        # Each pool is kept in sequence (arrival) order, which is FIFO order.
         pool = self.requests if incoming.side == OFFER else self.offers
-        candidates = [b for b in pool if b.direction == incoming.direction and b is not incoming]
+        direction = incoming.direction
+        candidates = [b for b in pool if b.direction == direction]
         if self.order == ORDER_FIFO:
-            candidates.sort(key=lambda b: b.sequence)
-        elif incoming.side == OFFER:
+            return candidates
+        if incoming.side == OFFER:
             # Highest-paying request first for an incoming offer.
             candidates.sort(key=lambda b: (-b.price_eur_per_kw, b.sequence))
         else:
@@ -423,8 +477,10 @@ class OrderBook:
         if bid.quantity_kw <= self.tolerance_kw:
             bid.quantity_kw = 0.0
             pool = self.offers if bid.side == OFFER else self.requests
-            if bid in pool:
-                pool.remove(bid)
+            # Sequence numbers are unique and each pool is sorted by them.
+            i = bisect.bisect_left(pool, bid.sequence, key=_SEQUENCE)
+            if i < len(pool) and pool[i] is bid:
+                del pool[i]
 
     def _apply_to_baseline(self, record: MatchRecord) -> None:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
@@ -434,15 +490,7 @@ class OrderBook:
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
         self.trade_log.append(
-            TradeLogEntry(
-                round=self.round,
-                offer_id=offer.id,
-                request_id=request.id,
-                quantity_kw=quantity,
-                price_eur_per_kw=price,
-                outcome=outcome,
-                binding_lines=tuple(binding),
-            )
+            TradeLogEntry(self.round, offer.id, request.id, quantity, price, outcome, binding)
         )
         logger.info(
             "round %d: %s/%s %s %g kW", self.round, offer.id, request.id, outcome, quantity

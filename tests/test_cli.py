@@ -161,3 +161,26 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
     code = main(["run", "--network", str(path), "--bids", str(DATA / "bids_reevaluation.jsonl")])
     assert code == 2
     assert "reactance: expected a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, text",
+    [
+        ("injection_kw", "injection_kw: [1, 2]\n"),
+        ("buses", "buses: 5\n"),
+        ("lines", "lines: 7\n"),
+    ],
+)
+def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section, text):
+    sections = {
+        "buses": "buses: [1, 2]\n",
+        "slack_bus": "slack_bus: 1\n",
+        "lines": "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5}\n",
+    }
+    sections[section] = text
+    path = tmp_path / "net.yaml"
+    path.write_text("".join(sections.values()))
+    assert main(["check", "--network", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section} must be" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from flexmarket import (
     load_book,
     load_network,
     load_scenarios,
+    new_book,
     read_trade_log,
     run_replay,
     trade_log_lines,
@@ -299,6 +301,53 @@ class TestBookRoundTrip:
         ],
     )
     def test_truncated_dump_is_an_input_error(self, tmp_path, damage, message):
+        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(result.book)
+        damage(data)
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(data))
+        network, _ = load_network(DATA / "fifteen_bus.yaml")
+        with pytest.raises(InputError, match=message):
+            load_book(path, network, MarketConfig())
+
+    def test_shuffled_resting_bids_resume_like_the_dump(self, tmp_path):
+        config = MarketConfig(policy="both")
+        bids = load_bids(DATA / "bids_fifteen_bus.jsonl")
+        network, baseline = load_network(DATA / "fifteen_bus.yaml")
+        book = new_book(network, baseline, config)
+        for bid in bids[:8]:
+            book.submit_bid(bid)
+        data = dump_book(book)
+        assert len(data["requests"]) + len(data["offers"]) >= 3
+
+        logs = []
+        for shuffle in (False, True):
+            if shuffle:
+                for key in ("requests", "offers"):
+                    random.Random(7).shuffle(data[key])
+                    data[key].reverse()  # a one- or two-bid pool still moves
+            path = tmp_path / f"book-{shuffle}.json"
+            path.write_text(json.dumps(data))
+            reloaded = load_book(path, network, config)
+            for bid in load_bids(DATA / "bids_fifteen_bus.jsonl")[8:]:
+                reloaded.submit_bid(bid)
+            logs.append(trade_log_lines(reloaded.trade_log))
+        assert logs[0] == logs[1]
+        assert any(e.outcome == "matched" for e in reloaded.trade_log)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda d: d["offers"][1].update(id=d["offers"][0]["id"]), "duplicate bid id"),
+            (
+                lambda d: d["offers"][1].update(sequence=d["offers"][0]["sequence"]),
+                "duplicate sequence number",
+            ),
+            (lambda d: d.update(sequence=1), "is after 1"),
+            (lambda d: d["offers"][0].update(bus="99"), "unknown bus '99'"),
+        ],
+    )
+    def test_inconsistent_dump_is_an_input_error(self, tmp_path, damage, message):
         result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
         data = dump_book(result.book)
         damage(data)

@@ -1,5 +1,8 @@
 """Property-based checks of the grid math and the clearing invariants."""
 
+import json
+import os
+import tempfile
 import threading
 
 import numpy as np
@@ -14,11 +17,21 @@ from flexmarket import (
     MatchRecord,
     Network,
     OrderBook,
+    TradeLogEntry,
     build_ptdf,
     line_flows,
     max_tradable_quantity,
+    read_trade_log,
+    trade_log_lines,
+    write_trade_log,
 )
-from flexmarket.market import ALL_COMBINATIONS, OUTCOME_MATCHED, OUTCOME_PARTIAL
+from flexmarket.market import (
+    ALL_COMBINATIONS,
+    OUTCOME_MATCHED,
+    OUTCOME_PARTIAL,
+    OUTCOME_REJECTED_CONGESTION,
+    OUTCOME_REJECTED_PRICE,
+)
 from flexmarket.oracle import (
     dc_solve,
     exhaustive_subset_check,
@@ -30,6 +43,8 @@ from flexmarket.oracle import (
 #: enumeration, fixed before either is run: a few times the engine's
 #: 1e-6 kW quantity tolerance, far below any quantity a bid can carry.
 BRUTE_FORCE_TOL_KW = 1e-5
+
+OUTCOMES = (OUTCOME_MATCHED, OUTCOME_PARTIAL, OUTCOME_REJECTED_CONGESTION, OUTCOME_REJECTED_PRICE)
 
 
 @st.composite
@@ -330,3 +345,63 @@ def test_parallel_evaluation_is_equivalent(case, raw):
     for thread in threads:
         thread.join(timeout=30)
     assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+# Ids mixing ASCII with what JSON must escape: quotes, backslashes,
+# control characters and non-ASCII text (surrogates included).
+log_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f/'),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80),
+    ),
+    min_size=1,
+    max_size=12,
+)
+# Engine values are ints and finite floats; infinities and booleans take
+# the writer's ``json.dumps`` fallback. NaN is left out as it equals nothing.
+log_numbers = st.one_of(
+    st.integers(-(2 ** 53), 2 ** 53),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            TradeLogEntry,
+            round=st.integers(0, 2 ** 40),
+            offer_id=log_ids,
+            request_id=log_ids,
+            quantity_kw=log_numbers,
+            price_eur_per_kw=log_numbers,
+            outcome=st.one_of(st.sampled_from(OUTCOMES), log_ids),
+            binding_lines=st.lists(log_ids, max_size=3).map(tuple),
+        ),
+        max_size=5,
+    )
+)
+def test_trade_log_lines_match_json_dumps(entries):
+    lines = trade_log_lines(entries)
+    assert lines == [
+        json.dumps(
+            {
+                "round": e.round,
+                "offer_id": e.offer_id,
+                "request_id": e.request_id,
+                "quantity_kw": e.quantity_kw,
+                "price_eur_per_kw": e.price_eur_per_kw,
+                "outcome": e.outcome,
+                "binding_lines": list(e.binding_lines),
+            },
+            sort_keys=True,
+        )
+        for e in entries
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "trades.jsonl")
+        write_trade_log(entries, path)
+        assert read_trade_log(path) == entries
