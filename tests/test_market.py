@@ -332,6 +332,28 @@ class TestCancel:
             book.cancel_bid("ghost")
 
 
+class TestRestore:
+    def test_restore_rebuilds_pools_in_sequence_order(self, three_bus):
+        book = make_book(three_bus)
+        late = request("late", "up", "2", 5, 0.05)
+        early = request("early", "up", "2", 5, 0.05)
+        late.sequence, early.sequence = 7, 3
+        book.restore(round=7, sequence=7, match_counter=0, seen_ids=["gone"],
+                     resting=[late, early], accepted=[])
+        assert book.requests == [early, late]
+        with pytest.raises(MarketError, match="duplicate bid id 'early'"):
+            book.submit_bid(request("early", "up", "2", 5, 0.05))
+        assert book.submit_bid(request("next", "up", "2", 5, 0.05)) == []
+        assert book.requests[-1].sequence == 8
+
+    def test_restore_needs_a_fresh_book(self, three_bus):
+        book = make_book(three_bus)
+        book.submit_bid(request("r1", "up", "2", 5, 0.05))
+        with pytest.raises(MarketError, match="fresh book"):
+            book.restore(round=1, sequence=1, match_counter=0, seen_ids=[],
+                         resting=[], accepted=[])
+
+
 class TestCounterpartyOrder:
     def setup_two_requests(self, three_bus, **kwargs):
         book = make_book(three_bus, **kwargs)
