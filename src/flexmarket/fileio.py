@@ -24,7 +24,15 @@ from .errors import (
     MarketError,
     NetworkError,
 )
-from .grid import DispatchState, Line, Network, build_ptdf, check_baseline, exchange_buses
+from .grid import (
+    QUANTITY_TOL,
+    DispatchState,
+    Line,
+    Network,
+    build_ptdf,
+    check_baseline,
+    exchange_buses,
+)
 from .market import (
     ALL_COMBINATIONS,
     CUMULATIVE,
@@ -89,7 +97,7 @@ class MarketConfig:
 
     policy: str = ALL_COMBINATIONS
     scenarios_path: Optional[str] = None
-    tolerance_kw: float = 1e-6
+    tolerance_kw: float = QUANTITY_TOL
     order: str = ORDER_FIFO
 
     def __post_init__(self) -> None:
@@ -178,7 +186,7 @@ def load_network(path, require_feasible: bool = True):
         if bus != slack:
             injections.setdefault(bus, 0.0)
     others = sum(value for bus, value in injections.items() if bus != slack)
-    if slack in injections and abs(injections[slack] + others) > 1e-6:
+    if slack in injections and abs(injections[slack] + others) > QUANTITY_TOL:
         raise InputError(
             f"{path}: injections sum to {injections[slack] + others:g} kW, not zero"
         )
@@ -345,6 +353,11 @@ def write_trade_log(entries, path) -> None:
 
 
 def read_trade_log(path) -> list:
+    """Read a trade log written by :func:`write_trade_log`.
+
+    A line that is not a complete record, or whose quantity or price is
+    not a finite number, raises :class:`InputError` naming the line.
+    """
     entries = []
     try:
         with open(path) as handle:
@@ -361,8 +374,10 @@ def read_trade_log(path) -> list:
                     round=int(record["round"]),
                     offer_id=record["offer_id"],
                     request_id=record["request_id"],
-                    quantity_kw=float(record["quantity_kw"]),
-                    price_eur_per_kw=float(record["price_eur_per_kw"]),
+                    quantity_kw=_number(record["quantity_kw"], f"{path}:{lineno}: quantity_kw"),
+                    price_eur_per_kw=_number(
+                        record["price_eur_per_kw"], f"{path}:{lineno}: price_eur_per_kw"
+                    ),
                     outcome=record["outcome"],
                     binding_lines=tuple(record["binding_lines"]),
                 )
@@ -517,7 +532,7 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
 # post-hoc audits
 
 
-def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = 1e-6):
+def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = QUANTITY_TOL):
     """Audit every activation subset of the cleared state a trade log describes.
 
     Rebuilds the final baseline by replaying the unconditional trades in

@@ -277,32 +277,38 @@ def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> Exchange
     return ExchangeSensitivity(inject_bus=inject_bus, withdraw_bus=withdraw_bus, alpha=alpha)
 
 
+def flow_rooms(flows: np.ndarray, limits: np.ndarray):
+    """Per-line room for a flow rise and for a flow fall, over every flow row.
+
+    ``flows`` is one vector or a stack of vectors (one row per dispatch
+    variant). The up room is the distance from each line's highest row
+    flow to its limit, the down room the distance from its lowest row
+    flow to the negative limit; both clamp at zero for a line already at
+    or past its limit. Float subtraction is monotone, so ``limit -
+    max(rows)`` is bit for bit the smallest of the per-row margins.
+    """
+    flows = np.atleast_2d(np.asarray(flows, dtype=float))
+    up_room = np.maximum(limits - flows.max(axis=0), 0.0)
+    down_room = np.maximum(limits + flows.min(axis=0), 0.0)
+    return up_room, down_room
+
+
 def quantity_caps(
     alpha: np.ndarray,
-    flows: np.ndarray,
-    limits: np.ndarray,
+    up_room: np.ndarray,
+    down_room: np.ndarray,
     alpha_tol: float = ALPHA_TOL,
 ) -> np.ndarray:
-    """Per-line cap on an exchange quantity, given current flows.
+    """Per-line cap on an exchange quantity, given the rooms of :func:`flow_rooms`.
 
-    For a line whose flow rises with the exchange the cap is the
-    remaining headroom toward the limit; for a line whose flow falls it
-    is the headroom toward the negative limit. Margins already used up
-    clamp to zero, and lines the exchange does not touch impose no cap.
-    ``flows`` may be a single vector or a stack of vectors (one row per
-    dispatch variant); the result has the same shape.
+    A line whose flow rises with the exchange (``alpha > alpha_tol``)
+    caps it at its up room over ``alpha``; a line whose flow falls
+    (``alpha < -alpha_tol``) at its down room over ``|alpha|``. Lines the
+    exchange does not touch impose no cap (``inf``).
     """
-    flows = np.asarray(flows, dtype=float)
-    up_margin = np.maximum(limits - flows, 0.0)
-    down_margin = np.minimum(-limits - flows, 0.0)
-    positive = alpha > alpha_tol
-    negative = alpha < -alpha_tol
-    safe_alpha = np.where(positive | negative, alpha, 1.0)
-    return np.where(
-        positive,
-        up_margin / safe_alpha,
-        np.where(negative, down_margin / safe_alpha, np.inf),
-    )
+    room = np.where(alpha > alpha_tol, up_room, np.where(alpha < -alpha_tol, down_room, np.inf))
+    # An untouched line keeps its infinite room whatever |alpha| it divides by.
+    return room / np.abs(alpha)
 
 
 def max_tradable_quantity(
@@ -327,7 +333,8 @@ def max_tradable_quantity(
         raise ValueError("quantity_kw must be positive")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus).alpha
-    caps = quantity_caps(alpha, line_flows(ptdf, dispatch), network.limit_vector())
+    rooms = flow_rooms(line_flows(ptdf, dispatch), network.limit_vector())
+    caps = quantity_caps(alpha, *rooms)
     quantity = min(float(quantity_kw), float(caps.min()))
     return quantity if quantity >= tolerance_kw else 0.0
 

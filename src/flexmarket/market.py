@@ -14,7 +14,11 @@ The book is a single-writer state machine: submissions, matching and
 baseline updates are strictly serialized. Because line flows are linear
 in each activation, every policy reduces to capping the candidate
 against a small, fixed stack of flow vectors built from running sums of
-the accepted matches' flow changes; no policy enumerates subsets.
+the accepted matches' flow changes; no policy enumerates subsets. The
+book reduces that stack to two per-line rooms, for a flow rise and for a
+flow fall, once per state change (an accepted conditional match or a
+baseline move), so each network check is one sensitivity column
+difference capped against cached rooms.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 
 from .errors import MarketError, UnknownBusError
 from .grid import (
-    ALPHA_TOL,
     DOWN,
     QUANTITY_TOL,
     UP,
@@ -39,6 +42,7 @@ from .grid import (
     build_ptdf,
     check_baseline,
     exchange_buses,
+    flow_rooms,
     quantity_caps,
 )
 
@@ -239,6 +243,9 @@ class OrderBook:
         n_lines = len(network.lines)
         self._sum, self._rise, self._fall = np.zeros((3, n_lines))
         self._scenario_sums = np.zeros((len(policy.scenarios), n_lines))
+        # (up, down) rooms of the flow stack, filled by _rooms_for and
+        # emptied whenever the baseline flows or the running sums change.
+        self._rooms: dict = {}
         self.trade_log: list = []
         self.round = 0
         self._sequence = 0
@@ -465,6 +472,7 @@ class OrderBook:
         alpha = self.ptdf.column(record.inject_bus) - self.ptdf.column(record.withdraw_bus)
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
+        self._rooms.clear()
         self._sum += delta
         self._rise += np.maximum(delta, 0.0)
         self._fall += np.minimum(delta, 0.0)
@@ -486,6 +494,7 @@ class OrderBook:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
         # The match was capped to fit, so this must hold; a failure here is a bug.
         self._flows = check_baseline(self.network, self.ptdf, self.baseline, self.tolerance_kw)
+        self._rooms.clear()
         logger.info("baseline updated by unconditional match %s", record.match_id)
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
@@ -522,28 +531,39 @@ class OrderBook:
         # scenarios: the candidate alone is always checked
         return np.vstack([f, f + self._scenario_sums])
 
+    def _rooms_for(self, conditionality: str):
+        """Cached (up, down) rooms of the flow stack a candidate is checked against.
+
+        Only ``cumulative`` checks the two conditionalities against
+        different stacks; every other policy shares one pair of rooms.
+        """
+        key = self.policy.variant == CUMULATIVE and conditionality == UNCONDITIONAL
+        rooms = self._rooms.get(key)
+        if rooms is None:
+            rooms = self._rooms[key] = flow_rooms(self._flow_stack(conditionality), self._limits)
+        return rooms
+
     def _evaluate_candidate(
         self, inject_bus, withdraw_bus, quantity_kw: float, conditionality: str
     ):
         """Cap a candidate exchange against every mandated combination.
 
         Returns the admissible quantity and the labels of the lines whose
-        cap bound it (empty when the full quantity goes through).
+        cap bound it (empty when the full quantity goes through). An
+        exchange that moves no line is never refused: only a finite cap
+        collapses a quantity below ``tolerance_kw`` to zero.
         """
         if not quantity_kw > 0:
             raise MarketError("candidate quantity must be positive")
         alpha = self.ptdf.column(inject_bus) - self.ptdf.column(withdraw_bus)
-        if not np.any(np.abs(alpha) > ALPHA_TOL):
-            return float(quantity_kw), ()
+        line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
 
-        stack = self._flow_stack(conditionality)
-        line_minima = quantity_caps(alpha, stack, self._limits).min(axis=0)
-
-        quantity = min(float(quantity_kw), float(line_minima.min()))
-        if quantity < self.tolerance_kw:
+        cap = float(line_caps.min())
+        quantity = min(float(quantity_kw), cap)
+        if quantity < self.tolerance_kw and cap < math.inf:
             quantity = 0.0
         binding: tuple = ()
         if quantity < quantity_kw - self.tolerance_kw:
-            bound = np.flatnonzero(line_minima <= quantity + self.tolerance_kw)
-            binding = tuple(self.network.line_labels[i] for i in bound)
+            bound = (line_caps <= quantity + self.tolerance_kw).nonzero()[0]
+            binding = tuple(self.network.line_labels[i] for i in bound.tolist())
         return quantity, binding

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexmarket
 from flexmarket.cli import main
 
 from conftest import DATA
@@ -112,6 +117,44 @@ def test_check_exhaustive_flags_unsafe_logs(tmp_path, capsys):
     )
     assert code == 1
     assert "1-2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, value", [("quantity_kw", float("nan")), ("price_eur_per_kw", float("inf"))]
+)
+def test_check_exhaustive_rejects_a_non_finite_trade_log_number(tmp_path, capsys, field, value):
+    # The individual policy books both overload-prone trades in full; a
+    # log whose numbers are not finite must not audit clean.
+    network = str(DATA / "three_bus.yaml")
+    bids = str(DATA / "bids_joint_overload.jsonl")
+    out = tmp_path / "out"
+    run = ["run", "--network", network, "--bids", bids, "--policy", "individual"]
+    assert main(run + ["--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "trades.jsonl").read_text().splitlines()]
+    trades = tmp_path / "trades.jsonl"
+    trades.write_text("".join(json.dumps({**r, field: value}) + "\n" for r in records))
+    capsys.readouterr()
+    check = ["check", "--network", network, "--exhaustive", "--bids", bids]
+    assert main(check + ["--trades", str(trades)]) == 2
+    assert f"{field}: expected a finite number" in capsys.readouterr().err
+
+
+def test_the_cli_runs_as_a_module(tmp_path):
+    src = str(Path(flexmarket.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "flexmarket.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    shown = cli("--help")
+    assert shown.returncode == 0
+    assert "usage: flexmarket" in shown.stdout
+    missing = cli("check", "--network", str(tmp_path / "missing.yaml"))
+    assert missing.returncode == 2
+    assert "cannot read network file" in missing.stderr
 
 
 def test_ptdf_dump(capsys):

@@ -12,6 +12,7 @@ from flexmarket import (
     OrderBook,
     UnknownBusError,
     line_flows,
+    load_network,
     price_match,
 )
 from flexmarket.oracle import dc_solve, flow_violations
@@ -26,6 +27,8 @@ from flexmarket.market import (
     OUTCOME_REJECTED_PRICE,
     SCENARIOS,
 )
+
+from conftest import DATA
 
 
 def request(id, direction, bus, quantity, price, conditionality="conditional"):
@@ -160,6 +163,15 @@ class TestSubmission:
         assert book.flows == pytest.approx([10.0, -10.0])
         assert book.accepted == []  # lives in the baseline, not the combination set
 
+    def test_an_exchange_that_moves_no_line_is_never_refused(self, three_bus):
+        # Both bids sit on bus 2, so no line sees the exchange: even a
+        # quantity below the tolerance clears in full.
+        book = make_book(three_bus)
+        book.submit_bid(request("r1", "up", "2", 1e-7, 0.05))
+        matches = book.submit_bid(offer("o1", "up", "2", 1e-7, 0.04))
+        assert [m.quantity_kw for m in matches] == [1e-7]
+        assert book.trade_log[-1].outcome == OUTCOME_MATCHED
+
     def test_exhausted_bids_leave_the_book(self, three_bus):
         book = make_book(three_bus)
         book.submit_bid(request("r1", "up", "1", 30, 0.05))
@@ -276,12 +288,31 @@ class TestCombinationFeasibility:
         book = make_book(three_bus, policy=CUMULATIVE)
         book.submit_bid(request("r1", "up", "2", 10, 0.05))
         book.submit_bid(offer("o1", "up", "3", 10, 0.045))
+        # A conditional candidate may use the relief; checking one first
+        # must not hand its cached rooms to the unconditional check.
+        assert book.check_combination_feasibility("3", "2", "up", 20.0) == 10.0
         book.submit_bid(request("r2", "up", "3", 10, 0.05, "unconditional"))
         assert book.submit_bid(offer("o2", "up", "2", 10, 0.045)) == []
         assert book.trade_log[-1].outcome == OUTCOME_REJECTED_CONGESTION
         assert book.trade_log[-1].binding_lines == ("2-3",)
         assert flow_violations(network, dc_solve(network, book.baseline)) == []
         assert book.flows == pytest.approx(dc_solve(network, book.baseline))
+
+    @pytest.mark.parametrize("policy", [CUMULATIVE, ALL_COMBINATIONS])
+    def test_the_check_follows_every_state_change(self, policy):
+        network, baseline = load_network(DATA / "three_bus.yaml")
+        book = OrderBook(network, baseline, FeasibilityPolicy(policy))
+        # An up exchange from bus 1 to bus 2 loads line 1-2 (40 of 60 kW).
+        assert book.check_combination_feasibility("2", "1", "up", 30.0) == 20.0
+        book.submit_bid(request("r1", "up", "2", 10, 0.05))
+        book.submit_bid(offer("o1", "up", "1", 10, 0.045))
+        assert [m.quantity_kw for m in book.accepted] == [10.0]
+        assert book.check_combination_feasibility("2", "1", "up", 30.0) == 10.0
+        # An unconditional match from bus 2 to bus 1 relieves line 1-2 by 5 kW.
+        book.submit_bid(request("r2", "up", "1", 5, 0.05, "unconditional"))
+        book.submit_bid(offer("o2", "up", "2", 5, 0.045))
+        assert book.flows == pytest.approx([35.0, 20.0])
+        assert book.check_combination_feasibility("2", "1", "up", 30.0) == 15.0
 
 
 class TestActivationSnapshot:

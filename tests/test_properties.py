@@ -1,6 +1,7 @@
 """Property-based checks of the grid math and the clearing invariants."""
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -13,18 +14,22 @@ from flexmarket import (
     Bid,
     DispatchState,
     FeasibilityPolicy,
+    InputError,
     Line,
     MatchRecord,
     Network,
     OrderBook,
     TradeLogEntry,
     build_ptdf,
+    flow_rooms,
     line_flows,
     max_tradable_quantity,
+    quantity_caps,
     read_trade_log,
     trade_log_lines,
     write_trade_log,
 )
+from flexmarket.grid import ALPHA_TOL
 from flexmarket.market import (
     ALL_COMBINATIONS,
     OUTCOME_MATCHED,
@@ -153,6 +158,67 @@ def test_max_tradable_shrinks_with_line_limits(case, shrink):
         tighter, build_ptdf(tighter), dispatch, request_bus, offer_bus, "up", 500.0
     )
     assert after <= before + 1e-9
+
+
+def stack_caps(alpha, flows, limits):
+    """Reference: the per-line cap against each flow row, then the smallest.
+
+    ``quantity_caps`` over ``flow_rooms`` reduces the rows first and
+    must equal this exactly, not just to a tolerance.
+    """
+    up_margin = np.maximum(limits - flows, 0.0)
+    down_margin = np.minimum(-limits - flows, 0.0)
+    positive = alpha > ALPHA_TOL
+    negative = alpha < -ALPHA_TOL
+    safe_alpha = np.where(positive | negative, alpha, 1.0)
+    caps = np.where(
+        positive,
+        up_margin / safe_alpha,
+        np.where(negative, down_margin / safe_alpha, np.inf),
+    )
+    return caps.min(axis=0)
+
+
+@st.composite
+def cap_cases(draw):
+    """Flow rows (some exactly at a limit), limits and sensitivities on 1-8 lines.
+
+    The sensitivities mix positive, negative, zero (both signs) and
+    sub-tolerance entries.
+    """
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 6))
+    limits = np.array([draw(st.floats(0.01, 300.0)) for _ in range(n)])
+    pinned = st.sampled_from([1.0, -1.0])
+    flows = np.array(
+        [
+            [draw(st.one_of(st.floats(-400.0, 400.0), pinned.map(lambda s: s * limit)))
+             for limit in limits]
+            for _ in range(rows)
+        ]
+    )
+    alpha = np.array(
+        [
+            draw(st.one_of(
+                st.floats(-2.0, 2.0),
+                st.sampled_from([0.0, -0.0, ALPHA_TOL, -ALPHA_TOL]),
+                st.floats(-ALPHA_TOL, ALPHA_TOL),
+            ))
+            for _ in range(n)
+        ]
+    )
+    return alpha, flows, limits
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_cases())
+def test_caps_from_rooms_equal_the_stack_minimum(case):
+    alpha, flows, limits = case
+    caps = quantity_caps(alpha, *flow_rooms(flows, limits))
+    assert caps.tolist() == stack_caps(alpha, flows, limits).tolist()
+    if len(flows) == 1:  # a single vector is a one-row stack
+        single = quantity_caps(alpha, *flow_rooms(flows[0], limits))
+        assert single.tolist() == caps.tolist()
 
 
 def bid_stream_strategy():
@@ -359,7 +425,8 @@ log_ids = st.text(
     max_size=12,
 )
 # Engine values are ints and finite floats; infinities and booleans take
-# the writer's ``json.dumps`` fallback. NaN is left out as it equals nothing.
+# the writer's ``json.dumps`` fallback, and the reader refuses infinities.
+# NaN is left out as it equals nothing.
 log_numbers = st.one_of(
     st.integers(-(2 ** 53), 2 ** 53),
     st.floats(allow_nan=False),
@@ -404,4 +471,9 @@ def test_trade_log_lines_match_json_dumps(entries):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "trades.jsonl")
         write_trade_log(entries, path)
-        assert read_trade_log(path) == entries
+        numbers = [x for e in entries for x in (e.quantity_kw, e.price_eur_per_kw)]
+        if all(math.isfinite(x) for x in numbers):
+            assert read_trade_log(path) == entries
+        else:
+            with pytest.raises(InputError, match="expected a finite number"):
+                read_trade_log(path)
