@@ -38,6 +38,7 @@ from .market import (
     CUMULATIVE,
     INDIVIDUAL,
     INDIVIDUAL_AND_CUMULATIVE,
+    OFFER,
     ORDER_FIFO,
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
@@ -422,15 +423,16 @@ def _match_dict(record: MatchRecord) -> dict:
 
 
 def dump_book(book: OrderBook) -> dict:
+    state = book.snapshot()
     return {
-        "round": book.round,
-        "sequence": book._sequence,
-        "match_counter": book._match_counter,
+        "round": state["round"],
+        "sequence": state["sequence"],
+        "match_counter": state["match_counter"],
         "injection_kw": {str(b): v for b, v in sorted(book.baseline.injection_kw.items())},
-        "requests": [_bid_dict(b) for b in book.requests],
-        "offers": [_bid_dict(b) for b in book.offers],
-        "accepted_matches": [_match_dict(r) for r in book.accepted],
-        "seen_ids": sorted(book._seen_ids),
+        "requests": [_bid_dict(b) for b in state["resting"] if b.side == REQUEST],
+        "offers": [_bid_dict(b) for b in state["resting"] if b.side == OFFER],
+        "accepted_matches": [_match_dict(r) for r in state["accepted"]],
+        "seen_ids": sorted(state["seen_ids"]),
     }
 
 

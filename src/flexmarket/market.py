@@ -1,11 +1,13 @@
 """Continuous clearing engine for locational flexibility trading.
 
 Offers and requests arrive one at a time and rest in an order book
-until they cross. An incoming bid is compared against resting
-counterparties in the same direction, first come first served;
-price-compatible pairs trade at the earlier bid's price (pay as bid),
-for the largest quantity that keeps every line within its limit under
-the configured combination policy. A match with an unconditional
+until they cross. An incoming bid is compared only against resting
+counterparties in the same direction whose price crosses its own (a
+request price at or above the offer price), first come first served;
+bids that do not cross are never examined and nothing is logged for
+them. Each examined pair trades at the earlier bid's price (pay as
+bid), for the largest quantity that keeps every line within its limit
+under the configured combination policy. A match with an unconditional
 request shifts the baseline dispatch immediately and triggers a
 re-evaluation of the resting offers, which may unlock bids that were
 previously blocked by congestion.
@@ -24,6 +26,7 @@ difference capped against cached rooms.
 from __future__ import annotations
 
 import bisect
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -74,7 +77,6 @@ ORDER_BEST_PRICE = "best_price"
 OUTCOME_MATCHED = "matched"
 OUTCOME_PARTIAL = "partial(congestion)"
 OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
-OUTCOME_REJECTED_PRICE = "rejected(price)"
 
 _SEQUENCE = attrgetter("sequence")
 
@@ -339,6 +341,25 @@ class OrderBook:
                     return bid
         raise MarketError(f"no live bid with id {bid_id!r}")
 
+    def snapshot(self) -> dict:
+        """The book's state as the keywords :meth:`restore` takes.
+
+        ``restore(**snapshot())`` on a fresh book with the same network,
+        baseline and policy resumes this one. The resting bids, requests
+        then offers, each in sequence order, are the book's own objects,
+        which later clearing changes: read them before the book clears
+        again. :meth:`restore` copies them, so the two books share no
+        mutable state.
+        """
+        return {
+            "round": self.round,
+            "sequence": self._sequence,
+            "match_counter": self._match_counter,
+            "seen_ids": set(self._seen_ids),
+            "resting": self.requests + self.offers,
+            "accepted": list(self.accepted),
+        }
+
     def restore(
         self,
         *,
@@ -351,16 +372,16 @@ class OrderBook:
     ) -> None:
         """Resume a fresh book from the state of an earlier session.
 
-        ``resting`` are the bids still in the book, in any order; each
-        pool is rebuilt in sequence order, which is the order clearing
-        relies on. ``accepted`` are the conditional matches in acceptance
-        order. Raises :class:`MarketError` for a state the book could
+        ``resting`` are the bids still in the book, in any order; the
+        book keeps copies of them, and each pool is rebuilt in sequence
+        order, which is the order clearing relies on. ``accepted`` are
+        the conditional matches in acceptance order. Raises :class:`MarketError` for a state the book could
         not have reached: duplicate bid ids or sequence numbers, or a
         sequence number after ``sequence``.
         """
         if self.round or self._seen_ids:
             raise MarketError("restore needs a fresh book")
-        resting = sorted(resting, key=_SEQUENCE)
+        resting = sorted(map(copy.copy, resting), key=_SEQUENCE)
         for what, key in (("bid id", attrgetter("id")), ("sequence number", _SEQUENCE)):
             values: set = set()
             for bid in resting:
@@ -402,17 +423,27 @@ class OrderBook:
             raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
 
     def _counterparties(self, incoming: Bid) -> list:
-        # Each pool is kept in sequence (arrival) order, which is FIFO order.
-        pool = self.requests if incoming.side == OFFER else self.offers
+        """Same-direction counterparties whose price crosses the incoming bid's.
+
+        Each pool is kept in sequence (arrival) order, which is FIFO order.
+        """
         direction = incoming.direction
-        candidates = [b for b in pool if b.direction == direction]
-        if self.order == ORDER_FIFO:
-            return candidates
+        price = incoming.price_eur_per_kw
         if incoming.side == OFFER:
-            # Highest-paying request first for an incoming offer.
-            candidates.sort(key=lambda b: (-b.price_eur_per_kw, b.sequence))
+            candidates = [
+                b for b in self.requests
+                if b.direction == direction and b.price_eur_per_kw >= price
+            ]
+            if self.order == ORDER_BEST_PRICE:
+                # Highest-paying request first for an incoming offer.
+                candidates.sort(key=lambda b: (-b.price_eur_per_kw, b.sequence))
         else:
-            candidates.sort(key=lambda b: (b.price_eur_per_kw, b.sequence))
+            candidates = [
+                b for b in self.offers
+                if b.direction == direction and b.price_eur_per_kw <= price
+            ]
+            if self.order == ORDER_BEST_PRICE:
+                candidates.sort(key=lambda b: (b.price_eur_per_kw, b.sequence))
         return candidates
 
     def _try_match(self, incoming: Bid) -> list:
@@ -423,11 +454,8 @@ class OrderBook:
             if other.quantity_kw <= 0:
                 continue
             offer, request = (incoming, other) if incoming.side == OFFER else (other, incoming)
-            if offer.price_eur_per_kw > request.price_eur_per_kw:
-                self._log(offer, request, 0.0, 0.0, OUTCOME_REJECTED_PRICE, ())
-                continue
-            earlier, later = sorted((offer, request), key=lambda b: b.sequence)
-            price = price_match(earlier, later)
+            # Pay as bid: the earlier of the two sets the price.
+            price = (offer if offer.sequence < request.sequence else request).price_eur_per_kw
             quantity = min(offer.quantity_kw, request.quantity_kw)
             inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
             admissible, binding = self._evaluate_candidate(
@@ -549,9 +577,10 @@ class OrderBook:
         """Cap a candidate exchange against every mandated combination.
 
         Returns the admissible quantity and the labels of the lines whose
-        cap bound it (empty when the full quantity goes through). An
-        exchange that moves no line is never refused: only a finite cap
-        collapses a quantity below ``tolerance_kw`` to zero.
+        cap bound it (empty when the full quantity goes through). A
+        quantity below ``tolerance_kw`` collapses to zero only when some
+        line caps it below the requested quantity; an exchange that fits
+        in full is never refused, however small.
         """
         if not quantity_kw > 0:
             raise MarketError("candidate quantity must be positive")
@@ -560,7 +589,7 @@ class OrderBook:
 
         cap = float(line_caps.min())
         quantity = min(float(quantity_kw), cap)
-        if quantity < self.tolerance_kw and cap < math.inf:
+        if quantity < self.tolerance_kw and cap < quantity_kw:
             quantity = 0.0
         binding: tuple = ()
         if quantity < quantity_kw - self.tolerance_kw:

@@ -9,7 +9,7 @@ import pytest
 import flexmarket
 from flexmarket.cli import main
 
-from conftest import DATA
+from conftest import DATA, GOLDEN
 
 
 def test_run_writes_trades_and_book(tmp_path, capsys):
@@ -90,6 +90,29 @@ def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
             "--exhaustive",
             "--bids", str(DATA / "bids_fifteen_bus.jsonl"),
             "--trades", str(out / "trades.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert "audit clean" in capsys.readouterr().out
+
+
+def test_check_exhaustive_reads_logs_with_price_rejections(tmp_path, capsys):
+    # Older engines logged every non-crossing pairing as rejected(price);
+    # such logs still load, and the audit judges only the matched entries.
+    golden = (GOLDEN / "fifteen_bus.trades.jsonl").read_text().splitlines(keepends=True)
+    old = (
+        '{"binding_lines": [], "offer_id": "offer2", "outcome": "rejected(price)", '
+        '"price_eur_per_kw": 0.0, "quantity_kw": 0.0, "request_id": "req1", "round": 8}\n'
+    )
+    trades = tmp_path / "trades.jsonl"
+    trades.write_text("".join(golden[:1] + [old] + golden[1:]))
+    code = main(
+        [
+            "check",
+            "--network", str(DATA / "fifteen_bus.yaml"),
+            "--exhaustive",
+            "--bids", str(DATA / "bids_fifteen_bus.jsonl"),
+            "--trades", str(trades),
         ]
     )
     assert code == 0

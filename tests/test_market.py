@@ -24,7 +24,6 @@ from flexmarket.market import (
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
     OUTCOME_REJECTED_CONGESTION,
-    OUTCOME_REJECTED_PRICE,
     SCENARIOS,
 )
 
@@ -109,13 +108,16 @@ class TestSubmission:
         assert book.trade_log == []
 
     def test_price_gate_books_expensive_offer(self, three_bus):
+        # A pair whose prices do not cross is never examined: both bids
+        # rest untouched and nothing is logged, on submission or later.
         book = make_book(three_bus)
         book.submit_bid(request("r1", "up", "1", 30, 0.04))
         matches = book.submit_bid(offer("o1", "up", "3", 30, 0.05))
         assert matches == []
-        assert book.trade_log[-1].outcome == OUTCOME_REJECTED_PRICE
         assert [b.id for b in book.offers] == ["o1"]
         assert book.requests[0].quantity_kw == 30
+        assert book.reevaluate_book() == []
+        assert book.trade_log == []
 
     def test_duplicate_id_rejected(self, three_bus):
         book = make_book(three_bus)
@@ -171,6 +173,16 @@ class TestSubmission:
         matches = book.submit_bid(offer("o1", "up", "2", 1e-7, 0.04))
         assert [m.quantity_kw for m in matches] == [1e-7]
         assert book.trade_log[-1].outcome == OUTCOME_MATCHED
+
+    def test_a_sub_tolerance_exchange_that_fits_clears(self, three_bus):
+        # Bus 2 to bus 3 moves a line, but no line caps 1e-7 kW: the pair
+        # clears in full, as the same pair on one bus does.
+        book = make_book(three_bus)
+        book.submit_bid(request("r1", "up", "2", 1e-7, 0.05))
+        matches = book.submit_bid(offer("o1", "up", "3", 1e-7, 0.04))
+        assert [m.quantity_kw for m in matches] == [1e-7]
+        assert book.trade_log == [(2, "o1", "r1", 1e-7, 0.05, OUTCOME_MATCHED, ())]
+        assert book.requests == [] and book.offers == []
 
     def test_exhausted_bids_leave_the_book(self, three_bus):
         book = make_book(three_bus)
@@ -400,6 +412,17 @@ class TestCounterpartyOrder:
     def test_best_price_prefers_the_higher_request(self, three_bus):
         book = self.setup_two_requests(three_bus, order="best_price")
         assert book.trade_log[-1].request_id == "rich"
+
+    @pytest.mark.parametrize("order", ["fifo", "best_price"])
+    def test_only_crossing_requests_are_examined(self, three_bus, order):
+        book = make_book(three_bus, order=order)
+        book.submit_bid(request("low", "up", "1", 10, 0.020))
+        book.submit_bid(request("rich", "up", "1", 10, 0.060))
+        book.submit_bid(request("down", "down", "1", 10, 0.060))
+        book.submit_bid(offer("o1", "up", "1", 20, 0.030))
+        assert [(e.request_id, e.outcome) for e in book.trade_log] == [("rich", OUTCOME_MATCHED)]
+        assert [b.id for b in book.requests] == ["low", "down"]
+        assert [(b.id, b.quantity_kw) for b in book.offers] == [("o1", 10)]
 
 
 def replay_in_threads(make, streams):

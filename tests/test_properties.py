@@ -35,7 +35,6 @@ from flexmarket.market import (
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
     OUTCOME_REJECTED_CONGESTION,
-    OUTCOME_REJECTED_PRICE,
 )
 from flexmarket.oracle import (
     dc_solve,
@@ -49,7 +48,8 @@ from flexmarket.oracle import (
 #: 1e-6 kW quantity tolerance, far below any quantity a bid can carry.
 BRUTE_FORCE_TOL_KW = 1e-5
 
-OUTCOMES = (OUTCOME_MATCHED, OUTCOME_PARTIAL, OUTCOME_REJECTED_CONGESTION, OUTCOME_REJECTED_PRICE)
+# "rejected(price)" is no longer written but still appears in older logs.
+OUTCOMES = (OUTCOME_MATCHED, OUTCOME_PARTIAL, OUTCOME_REJECTED_CONGESTION, "rejected(price)")
 
 
 @st.composite

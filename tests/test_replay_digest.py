@@ -23,6 +23,7 @@ from flexmarket import (
     Bid,
     MarketConfig,
     MarketError,
+    OrderBook,
     book_json,
     load_network,
     new_book,
@@ -116,9 +117,25 @@ def test_synthetic_replay_digest_is_unchanged(policy, order):
     # the final book still holds same-direction pairs whose prices do
     # not cross, and those rest untouched.
     assert non_crossing_resting_pairs(book) > 0
+    prices = {item.id: item.price_eur_per_kw for kind, item in synthetic_stream() if kind == "bid"}
+    assert all(prices[e.offer_id] <= prices[e.request_id] for e in book.trade_log)
     assert outcomes[OUTCOME_REJECTED_CONGESTION] + outcomes[OUTCOME_PARTIAL] > 0
     assert len(book.accepted) > 0 and book.baseline.injection_kw != load_network(
         DATA / "fifteen_bus.yaml"
     )[1].injection_kw
     assert cancelled > 0
     assert digest == DIGESTS[policy, order]
+
+
+def test_restore_from_snapshot_reproduces_the_dump():
+    _, book, _ = replay_digest(ALL_COMBINATIONS, ORDER_FIFO)
+    assert book.requests and book.offers and book.accepted
+    resumed = OrderBook(book.network, book.baseline, book.policy)
+    resumed.restore(**book.snapshot())
+    before = book_json(book)
+    assert book_json(resumed) == before
+    # The resumed book holds copies: clearing in it leaves the original as it was.
+    for bid in book.offers:
+        resumed.submit_bid(Bid("probe-" + bid.id, "request", bid.direction, bid.bus, 1e3, 1.0,
+                               "conditional"))
+    assert resumed.trade_log and book_json(book) == before
