@@ -1,8 +1,9 @@
 """Walk through the DC network model on the bundled three-bus feeder.
 
-Builds the PTDF matrix, reads off line flows and headroom, and shows how
-the per-line sensitivity of a bus-to-bus exchange caps the quantity that
-can be traded between two locations.
+Builds the PTDF matrix, reads off line flows and each line's room for a
+flow rise and a flow fall, and shows how the per-line sensitivity of a
+bus-to-bus exchange caps the quantity that can be traded between two
+locations.
 """
 
 from pathlib import Path
@@ -10,10 +11,11 @@ from pathlib import Path
 from flexmarket import (
     build_ptdf,
     exchange_sensitivity,
-    headroom,
+    flow_rooms,
     line_flows,
     load_network,
     max_tradable_quantity,
+    quantity_caps,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -27,16 +29,19 @@ for label, row in zip(ptdf.line_labels, ptdf.matrix):
     print(f"{label:>6}" + "".join(f"{v:8.3f}" for v in row))
 
 flows = line_flows(ptdf, baseline)
-print("\nBaseline flows and headroom")
-for line, label, flow in zip(network.lines, network.line_labels, flows):
-    room = headroom(line, flow)
+up_room, down_room = flow_rooms(flows, network.limit_vector())
+print("\nBaseline flows and the room each line has left")
+rows = zip(network.lines, network.line_labels, flows, up_room, down_room)
+for line, label, flow, up, down in rows:
     print(
         f"  line {label}: flow {flow:6.1f} kW of {line.limit_kw:5.1f} kW, "
-        f"margins +{room.up_margin_kw:.1f} / {room.down_margin_kw:.1f} kW"
+        f"room to rise {up:.1f} kW, to fall {down:.1f} kW"
     )
 
+alpha = exchange_sensitivity(ptdf, "3", "1")
 print("\nSensitivity of each line to moving power from bus 3 to bus 1")
-print("  alpha =", exchange_sensitivity(ptdf, "3", "1").alpha)
+print("  alpha =", alpha)
+print("  per-line caps on that exchange (kW):", quantity_caps(alpha, up_room, down_room))
 
 print("\nMaximum tradable quantities on the baseline")
 for request_bus, offer_bus, direction, wanted in [

@@ -76,16 +76,22 @@ _BID_FIELDS = {
     "price_eur_per_kw",
     "conditionality",
 }
+# Only requests carry a conditionality.
+_REQUIRED_BID_FIELDS = _BID_FIELDS - {"conditionality"}
 
-# Required fields of a book dump and of its records, with their types.
+# Required fields of a book dump and of its records, with their types. The
+# counters carry the names that OrderBook.snapshot and OrderBook.restore use.
+_DUMP_COUNTERS = dict(round=int, sequence=int, match_counter=int)
 _DUMP_FIELDS = dict(
-    round=int, sequence=int, match_counter=int, injection_kw=dict,
+    _DUMP_COUNTERS, injection_kw=dict,
     requests=list, offers=list, accepted_matches=list, seen_ids=list,
 )
 _DUMP_BID_FIELDS = dict(
     id=str, side=str, direction=str, bus=str, quantity_kw=float,
     original_quantity_kw=float, price_eur_per_kw=float, sequence=int,
 )
+# A dumped bid also names its conditionality if it has one: requests do, offers not.
+_DUMP_BID_KEYS = (*_DUMP_BID_FIELDS, "conditionality")
 _DUMP_MATCH_FIELDS = dict(
     match_id=str, offer_id=str, request_id=str, inject_bus=str, withdraw_bus=str,
     quantity_kw=float, price_eur_per_kw=float, conditionality=str, round=int,
@@ -98,15 +104,12 @@ class MarketConfig:
 
     policy: str = ALL_COMBINATIONS
     scenarios_path: Optional[str] = None
-    tolerance_kw: float = QUANTITY_TOL
     order: str = ORDER_FIFO
 
     def __post_init__(self) -> None:
         self.policy = POLICY_ALIASES.get(self.policy, self.policy)
         if self.policy not in POLICY_VARIANTS:
             raise InputError(f"unknown policy {self.policy!r}")
-        if not self.tolerance_kw > 0:
-            raise InputError("tolerance must be > 0")
 
 
 @dataclass
@@ -118,14 +121,18 @@ class ReplayResult:
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)`` if that is a finite number; otherwise an InputError."""
+    """``value`` as a finite ``float``, or a whole ``int``; otherwise an InputError."""
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{where}: expected a number, got {value!r}") from None
     if not math.isfinite(number):
         raise InputError(f"{where}: expected a finite number, got {value!r}")
-    return number
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise InputError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def load_network(path, require_feasible: bool = True):
@@ -221,7 +228,7 @@ def load_bids(path) -> list:
         extra = set(record) - _BID_FIELDS
         if extra:
             raise InputError(f"{path}:{lineno}: unknown fields {sorted(extra)}")
-        missing = {"id", "side", "direction", "bus", "quantity_kw", "price_eur_per_kw"} - set(record)
+        missing = _REQUIRED_BID_FIELDS - set(record)
         if missing:
             raise InputError(f"{path}:{lineno}: missing fields {sorted(missing)}")
         try:
@@ -272,13 +279,7 @@ def build_policy(config: MarketConfig) -> FeasibilityPolicy:
 
 
 def new_book(network, baseline, config: MarketConfig) -> OrderBook:
-    return OrderBook(
-        network,
-        baseline,
-        build_policy(config),
-        tolerance_kw=config.tolerance_kw,
-        order=config.order,
-    )
+    return OrderBook(network, baseline, build_policy(config), order=config.order)
 
 
 def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> ReplayResult:
@@ -356,8 +357,9 @@ def write_trade_log(entries, path) -> None:
 def read_trade_log(path) -> list:
     """Read a trade log written by :func:`write_trade_log`.
 
-    A line that is not a complete record, or whose quantity or price is
-    not a finite number, raises :class:`InputError` naming the line.
+    A line that is not a complete record, whose quantity or price is not
+    a finite number, or whose round is not a whole number, raises
+    :class:`InputError` naming the line.
     """
     entries = []
     try:
@@ -372,7 +374,7 @@ def read_trade_log(path) -> list:
             record = json.loads(raw)
             entries.append(
                 TradeLogEntry(
-                    round=int(record["round"]),
+                    round=_number(record["round"], f"{path}:{lineno}: round", int),
                     offer_id=record["offer_id"],
                     request_id=record["request_id"],
                     quantity_kw=_number(record["quantity_kw"], f"{path}:{lineno}: quantity_kw"),
@@ -393,41 +395,17 @@ def read_trade_log(path) -> list:
 
 
 def _bid_dict(bid: Bid) -> dict:
-    record = {
-        "id": bid.id,
-        "side": bid.side,
-        "direction": bid.direction,
-        "bus": bid.bus,
-        "quantity_kw": bid.quantity_kw,
-        "original_quantity_kw": bid.original_quantity_kw,
-        "price_eur_per_kw": bid.price_eur_per_kw,
-        "sequence": bid.sequence,
-    }
-    if bid.side == REQUEST:
-        record["conditionality"] = bid.conditionality
-    return record
+    return {key: value for key in _DUMP_BID_KEYS if (value := getattr(bid, key)) is not None}
 
 
 def _match_dict(record: MatchRecord) -> dict:
-    return {
-        "match_id": record.match_id,
-        "offer_id": record.offer_id,
-        "request_id": record.request_id,
-        "inject_bus": record.inject_bus,
-        "withdraw_bus": record.withdraw_bus,
-        "quantity_kw": record.quantity_kw,
-        "price_eur_per_kw": record.price_eur_per_kw,
-        "conditionality": record.conditionality,
-        "round": record.round,
-    }
+    return {key: getattr(record, key) for key in _DUMP_MATCH_FIELDS}
 
 
 def dump_book(book: OrderBook) -> dict:
     state = book.snapshot()
     return {
-        "round": state["round"],
-        "sequence": state["sequence"],
-        "match_counter": state["match_counter"],
+        **{key: state[key] for key in _DUMP_COUNTERS},
         "injection_kw": {str(b): v for b, v in sorted(book.baseline.injection_kw.items())},
         "requests": [_bid_dict(b) for b in state["resting"] if b.side == REQUEST],
         "offers": [_bid_dict(b) for b in state["resting"] if b.side == OFFER],
@@ -440,10 +418,20 @@ def book_json(book: OrderBook) -> str:
     return json.dumps(dump_book(book), sort_keys=True, indent=2) + "\n"
 
 
+def _dumped_number(value, where: str, kind=float):
+    """A number read back from a dump, as :func:`_number` checks it.
+
+    An integer stays an ``int`` even in a float field: the book held it
+    as one and must dump it as one again.
+    """
+    number = _number(value, where, kind)
+    return value if type(value) is int else number
+
+
 def _checked(record, fields: dict, where: str) -> dict:
     """A copy of ``record`` whose required fields are present and typed.
 
-    Numeric fields are converted and must be finite.
+    Numeric fields are converted by :func:`_dumped_number`.
     """
     if not isinstance(record, dict):
         raise InputError(f"{where}: expected a JSON object")
@@ -453,7 +441,7 @@ def _checked(record, fields: dict, where: str) -> dict:
     out = dict(record)
     for key, kind in fields.items():
         if kind in (int, float):
-            out[key] = _number(record[key], f"{where}: {key}", kind)
+            out[key] = _dumped_number(record[key], f"{where}: {key}", kind)
         elif not isinstance(record[key], kind):
             raise InputError(f"{where}: {key} is not a {kind.__name__}")
     return out
@@ -476,7 +464,7 @@ def read_book_dump(path) -> dict:
 
     data = _checked(data, _DUMP_FIELDS, str(path))
     data["injection_kw"] = {
-        str(bus): _number(value, f"{path}: injection_kw of bus {bus}")
+        str(bus): _dumped_number(value, f"{path}: injection_kw of bus {bus}")
         for bus, value in data["injection_kw"].items()
     }
     for key, fields in (
@@ -495,31 +483,20 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
 
     The resting bids may be listed in any order. A dump the book could
     not have written, such as one with duplicate bid ids or sequence
-    numbers or naming an unknown bus, raises :class:`InputError`.
+    numbers, naming an unknown bus or leaving a network bus out of its
+    baseline, raises :class:`InputError`; a baseline that overloads a
+    line raises :class:`InfeasibleBaselineError`.
     """
     data = read_book_dump(path)
-    book = new_book(network, DispatchState(data["injection_kw"]), config)
     try:
-        resting = [
-            Bid(
-                id=raw["id"],
-                side=raw["side"],
-                direction=raw["direction"],
-                bus=raw["bus"],
-                quantity_kw=raw["quantity_kw"],
-                price_eur_per_kw=raw["price_eur_per_kw"],
-                conditionality=raw.get("conditionality"),
-                sequence=raw["sequence"],
-                original_quantity_kw=raw["original_quantity_kw"],
-            )
-            for raw in data["requests"] + data["offers"]
-        ]
+        book = new_book(network, DispatchState(data["injection_kw"]), config)
         book.restore(
-            round=data["round"],
-            sequence=data["sequence"],
-            match_counter=data["match_counter"],
+            **{key: data[key] for key in _DUMP_COUNTERS},
             seen_ids=map(str, data["seen_ids"]),
-            resting=resting,
+            resting=[
+                Bid(**{key: raw.get(key) for key in _DUMP_BID_KEYS})
+                for raw in data["requests"] + data["offers"]
+            ],
             accepted=[
                 MatchRecord(**{key: raw[key] for key in _DUMP_MATCH_FIELDS})
                 for raw in data["accepted_matches"]
@@ -534,7 +511,7 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
 # post-hoc audits
 
 
-def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = QUANTITY_TOL):
+def audit_trade_log(network_path, bids_path, trades_path):
     """Audit every activation subset of the cleared state a trade log describes.
 
     Rebuilds the final baseline by replaying the unconditional trades in
@@ -572,4 +549,4 @@ def audit_trade_log(network_path, bids_path, trades_path, tolerance_kw: float = 
                     round=entry.round,
                 )
             )
-    return worst_subset_check(network, dispatch, conditional, tolerance_kw)
+    return worst_subset_check(network, dispatch, conditional)

@@ -4,8 +4,9 @@ Line flows are linear in the nodal injections, so everything the
 clearing engine needs from the grid reduces to one sensitivity matrix:
 the power transfer distribution factors (PTDFs). Each entry gives the
 change in a line flow per kW injected at a bus and withdrawn at the
-slack. From it we derive current flows, per-line headroom, the
-sensitivity of every line to a bus-to-bus exchange, and the largest
+slack. From it we derive current flows, the sensitivity of every line
+to a bus-to-bus exchange, each line's room for a flow rise and a flow
+fall, the per-line cap those rooms put on an exchange, and the largest
 exchange quantity that keeps all lines within their limits.
 
 All functions here are pure; :class:`PtdfMatrix` is write-locked after
@@ -176,24 +177,6 @@ class PtdfMatrix:
         return float(self.matrix[line, self.bus_position(bus)])
 
 
-@dataclass(frozen=True)
-class FlowHeadroom:
-    """Admissible flow change on a line, in both directions."""
-
-    flow_kw: float
-    up_margin_kw: float
-    down_margin_kw: float
-
-
-@dataclass(frozen=True)
-class ExchangeSensitivity:
-    """Per-line flow change per kW moved from ``inject_bus`` to ``withdraw_bus``."""
-
-    inject_bus: Hashable
-    withdraw_bus: Hashable
-    alpha: np.ndarray
-
-
 def build_ptdf(network: Network) -> PtdfMatrix:
     """Build the PTDF matrix of a network.
 
@@ -239,20 +222,6 @@ def line_flows(ptdf: PtdfMatrix, dispatch: DispatchState) -> np.ndarray:
     return ptdf.matrix @ dispatch.vector(ptdf.buses)
 
 
-def headroom(line: Line, flow_kw: float) -> FlowHeadroom:
-    """Maximum admissible flow change on a line, in both directions.
-
-    A line already above its limit yields a negative up margin (or a
-    positive down margin); callers must read that as zero tradable
-    quantity in the violating direction.
-    """
-    return FlowHeadroom(
-        flow_kw=flow_kw,
-        up_margin_kw=line.limit_kw - flow_kw,
-        down_margin_kw=-line.limit_kw - flow_kw,
-    )
-
-
 def exchange_buses(request_bus, offer_bus, direction: str):
     """Map a matched pair onto (injection bus, withdrawal bus).
 
@@ -267,14 +236,13 @@ def exchange_buses(request_bus, offer_bus, direction: str):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> ExchangeSensitivity:
-    """Per-line sensitivity of an injection at one bus withdrawn at another.
+def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> np.ndarray:
+    """Per-line flow change, α, per kW injected at one bus and withdrawn at another.
 
     Depends only on topology and reactances, never on the dispatch. The
     two buses may coincide, in which case the sensitivity is zero.
     """
-    alpha = ptdf.column(inject_bus) - ptdf.column(withdraw_bus)
-    return ExchangeSensitivity(inject_bus=inject_bus, withdraw_bus=withdraw_bus, alpha=alpha)
+    return ptdf.column(inject_bus) - ptdf.column(withdraw_bus)
 
 
 def flow_rooms(flows: np.ndarray, limits: np.ndarray):
@@ -293,20 +261,15 @@ def flow_rooms(flows: np.ndarray, limits: np.ndarray):
     return up_room, down_room
 
 
-def quantity_caps(
-    alpha: np.ndarray,
-    up_room: np.ndarray,
-    down_room: np.ndarray,
-    alpha_tol: float = ALPHA_TOL,
-) -> np.ndarray:
+def quantity_caps(alpha: np.ndarray, up_room: np.ndarray, down_room: np.ndarray) -> np.ndarray:
     """Per-line cap on an exchange quantity, given the rooms of :func:`flow_rooms`.
 
-    A line whose flow rises with the exchange (``alpha > alpha_tol``)
+    A line whose flow rises with the exchange (``alpha > ALPHA_TOL``)
     caps it at its up room over ``alpha``; a line whose flow falls
-    (``alpha < -alpha_tol``) at its down room over ``|alpha|``. Lines the
+    (``alpha < -ALPHA_TOL``) at its down room over ``|alpha|``. Lines the
     exchange does not touch impose no cap (``inf``).
     """
-    room = np.where(alpha > alpha_tol, up_room, np.where(alpha < -alpha_tol, down_room, np.inf))
+    room = np.where(alpha > ALPHA_TOL, up_room, np.where(alpha < -ALPHA_TOL, down_room, np.inf))
     # An untouched line keeps its infinite room whatever |alpha| it divides by.
     return room / np.abs(alpha)
 
@@ -319,37 +282,31 @@ def max_tradable_quantity(
     offer_bus,
     direction: str,
     quantity_kw: float,
-    tolerance_kw: float = QUANTITY_TOL,
 ) -> float:
     """Largest quantity of the requested exchange that no line refuses.
 
     Any activation between zero and the returned value leaves every line
     within its limit: per line the flow moves linearly with the quantity,
     so the extreme flow occurs at full activation and partial activations
-    are covered automatically. Results below ``tolerance_kw`` collapse
+    are covered automatically. Results below ``QUANTITY_TOL`` collapse
     to zero.
     """
     if not quantity_kw > 0:
         raise ValueError("quantity_kw must be positive")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
-    alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus).alpha
+    alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)
     rooms = flow_rooms(line_flows(ptdf, dispatch), network.limit_vector())
     caps = quantity_caps(alpha, *rooms)
     quantity = min(float(quantity_kw), float(caps.min()))
-    return quantity if quantity >= tolerance_kw else 0.0
+    return quantity if quantity >= QUANTITY_TOL else 0.0
 
 
-def check_baseline(
-    network: Network,
-    ptdf: PtdfMatrix,
-    dispatch: DispatchState,
-    tolerance_kw: float = QUANTITY_TOL,
-) -> np.ndarray:
+def check_baseline(network: Network, ptdf: PtdfMatrix, dispatch: DispatchState) -> np.ndarray:
     """Validate that a dispatch violates no line limit; return its flows."""
     flows = line_flows(ptdf, dispatch)
     overload = np.abs(flows) - network.limit_vector()
     worst = int(np.argmax(overload))
-    if overload[worst] > tolerance_kw:
+    if overload[worst] > QUANTITY_TOL:
         raise InfeasibleBaselineError(
             f"baseline infeasible, line {network.line_labels[worst]}: "
             f"flow {flows[worst]:g} kW exceeds limit {network.lines[worst].limit_kw:g} kW"

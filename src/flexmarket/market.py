@@ -45,6 +45,7 @@ from .grid import (
     build_ptdf,
     check_baseline,
     exchange_buses,
+    exchange_sensitivity,
     flow_rooms,
     quantity_caps,
 )
@@ -187,19 +188,6 @@ class TradeLogEntry(NamedTuple):
     binding_lines: tuple = ()
 
 
-def price_match(first_arrived: Bid, second_arrived: Bid) -> float:
-    """Pay-as-bid trade price: the earlier of the two bids sets it."""
-    by_side = {first_arrived.side: first_arrived, second_arrived.side: second_arrived}
-    if set(by_side) != {OFFER, REQUEST}:
-        raise MarketError("price_match needs one offer and one request")
-    if by_side[OFFER].price_eur_per_kw > by_side[REQUEST].price_eur_per_kw:
-        raise MarketError(
-            f"incompatible prices: offer {by_side[OFFER].price_eur_per_kw} > "
-            f"request {by_side[REQUEST].price_eur_per_kw}"
-        )
-    return first_arrived.price_eur_per_kw
-
-
 class OrderBook:
     """Order book plus clearing state for one network and one policy.
 
@@ -215,11 +203,8 @@ class OrderBook:
         baseline: DispatchState,
         policy: FeasibilityPolicy,
         *,
-        tolerance_kw: float = QUANTITY_TOL,
         order: str = ORDER_FIFO,
     ):
-        if not tolerance_kw > 0:
-            raise MarketError("tolerance_kw must be > 0")
         if order not in (ORDER_FIFO, ORDER_BEST_PRICE):
             raise MarketError(f"unknown counterparty order {order!r}")
         unknown = set(baseline.injection_kw) - set(network.buses)
@@ -228,13 +213,12 @@ class OrderBook:
 
         self.network = network
         self.policy = policy
-        self.tolerance_kw = tolerance_kw
         self.order = order
 
         self.ptdf = build_ptdf(network)
         self._limits = network.limit_vector()
         self.baseline = baseline.copy()
-        self._flows = check_baseline(network, self.ptdf, self.baseline, tolerance_kw)
+        self._flows = check_baseline(network, self.ptdf, self.baseline)
 
         self.requests: list = []
         self.offers: list = []
@@ -375,30 +359,47 @@ class OrderBook:
         ``resting`` are the bids still in the book, in any order; the
         book keeps copies of them, and each pool is rebuilt in sequence
         order, which is the order clearing relies on. ``accepted`` are
-        the conditional matches in acceptance order. Raises :class:`MarketError` for a state the book could
-        not have reached: duplicate bid ids or sequence numbers, or a
-        sequence number after ``sequence``.
+        the conditional matches in acceptance order. Raises
+        :class:`MarketError` for a state the book could not have
+        reached: duplicate bid ids, sequence numbers or match ids, a
+        sequence number after ``sequence``, an accepted match that is
+        not conditional, or a bid or match on an unknown bus. Every input
+        is checked before the book changes, so a failed restore leaves
+        it fresh.
         """
-        if self.round or self._seen_ids:
+        if self.round or self._seen_ids or self.accepted:
             raise MarketError("restore needs a fresh book")
         resting = sorted(map(copy.copy, resting), key=_SEQUENCE)
-        for what, key in (("bid id", attrgetter("id")), ("sequence number", _SEQUENCE)):
+        accepted = list(accepted)
+        for what, key, items in (
+            ("bid id", attrgetter("id"), resting),
+            ("sequence number", _SEQUENCE, resting),
+            ("match id", attrgetter("match_id"), accepted),
+        ):
             values: set = set()
-            for bid in resting:
-                if key(bid) in values:
-                    raise MarketError(f"duplicate {what} {key(bid)!r} among resting bids")
-                values.add(key(bid))
+            for item in items:
+                if key(item) in values:
+                    raise MarketError(f"duplicate {what} {key(item)!r}")
+                values.add(key(item))
         for bid in resting:
             if bid.bus not in self.ptdf:
                 raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
+        for record in accepted:
+            if record.conditionality != CONDITIONAL:
+                raise MarketError(f"match {record.match_id}: accepted matches are conditional")
+            for bus in (record.inject_bus, record.withdraw_bus):
+                if bus not in self.ptdf:
+                    raise UnknownBusError(f"match {record.match_id}: unknown bus {bus!r}")
         if resting and resting[-1].sequence > sequence:
             raise MarketError(
                 f"bid {resting[-1].id}: sequence {resting[-1].sequence} is after {sequence}"
             )
+        seen_ids = set(seen_ids).union(bid.id for bid in resting)
+
         self.round = round
         self._sequence = sequence
         self._match_counter = match_counter
-        self._seen_ids = set(seen_ids).union(bid.id for bid in resting)
+        self._seen_ids = seen_ids
         for bid in resting:
             (self.offers if bid.side == OFFER else self.requests).append(bid)
         for record in accepted:
@@ -477,7 +478,7 @@ class OrderBook:
                 conditionality=request.conditionality,
                 round=self.round,
             )
-            full = admissible >= quantity - self.tolerance_kw
+            full = admissible >= quantity - QUANTITY_TOL
             self._fill(offer, admissible)
             self._fill(request, admissible)
             self._log(
@@ -497,7 +498,7 @@ class OrderBook:
 
     def _accept(self, record: MatchRecord) -> None:
         """Add a conditional match to the combination set and its running sums."""
-        alpha = self.ptdf.column(record.inject_bus) - self.ptdf.column(record.withdraw_bus)
+        alpha = exchange_sensitivity(self.ptdf, record.inject_bus, record.withdraw_bus)
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
         self._rooms.clear()
@@ -510,7 +511,7 @@ class OrderBook:
 
     def _fill(self, bid: Bid, quantity: float) -> None:
         bid.quantity_kw -= quantity
-        if bid.quantity_kw <= self.tolerance_kw:
+        if bid.quantity_kw <= QUANTITY_TOL:
             bid.quantity_kw = 0.0
             pool = self.offers if bid.side == OFFER else self.requests
             # Sequence numbers are unique and each pool is sorted by them.
@@ -521,7 +522,7 @@ class OrderBook:
     def _apply_to_baseline(self, record: MatchRecord) -> None:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
         # The match was capped to fit, so this must hold; a failure here is a bug.
-        self._flows = check_baseline(self.network, self.ptdf, self.baseline, self.tolerance_kw)
+        self._flows = check_baseline(self.network, self.ptdf, self.baseline)
         self._rooms.clear()
         logger.info("baseline updated by unconditional match %s", record.match_id)
 
@@ -578,21 +579,21 @@ class OrderBook:
 
         Returns the admissible quantity and the labels of the lines whose
         cap bound it (empty when the full quantity goes through). A
-        quantity below ``tolerance_kw`` collapses to zero only when some
+        quantity below ``QUANTITY_TOL`` collapses to zero only when some
         line caps it below the requested quantity; an exchange that fits
         in full is never refused, however small.
         """
         if not quantity_kw > 0:
             raise MarketError("candidate quantity must be positive")
-        alpha = self.ptdf.column(inject_bus) - self.ptdf.column(withdraw_bus)
+        alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
         line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
 
         cap = float(line_caps.min())
         quantity = min(float(quantity_kw), cap)
-        if quantity < self.tolerance_kw and cap < quantity_kw:
+        if quantity < QUANTITY_TOL and cap < quantity_kw:
             quantity = 0.0
         binding: tuple = ()
-        if quantity < quantity_kw - self.tolerance_kw:
-            bound = (line_caps <= quantity + self.tolerance_kw).nonzero()[0]
+        if quantity < quantity_kw - QUANTITY_TOL:
+            bound = (line_caps <= quantity + QUANTITY_TOL).nonzero()[0]
             binding = tuple(self.network.line_labels[i] for i in bound.tolist())
         return quantity, binding

@@ -235,6 +235,14 @@ class TestTradeLogRoundTrip:
         write_trade_log(result.trades, path)
         assert read_trade_log(path) == result.trades
 
+    def test_fractional_round_is_an_input_error(self, tmp_path):
+        result = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        records = [json.loads(line) for line in trade_log_lines(result.trades)]
+        path = tmp_path / "trades.jsonl"
+        path.write_text("".join(json.dumps({**r, "round": 1.5}) + "\n" for r in records))
+        with pytest.raises(InputError, match=r"trades\.jsonl:1: round: expected an integer"):
+            read_trade_log(path)
+
     def test_lines_are_deterministic(self):
         first = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
         second = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
@@ -297,6 +305,11 @@ class TestBookRoundTrip:
             (lambda d: d["offers"][0].pop("sequence"), r"offers\[0\]: missing \['sequence'\]"),
             (lambda d: d["accepted_matches"][0].pop("quantity_kw"), r"accepted_matches\[0\]"),
             (lambda d: d.update(round="late"), "round: expected a number"),
+            (lambda d: d.update(round=1.5), "round: expected an integer, got 1.5"),
+            (
+                lambda d: d["offers"][0].update(sequence=2.5),
+                r"offers\[0\]: sequence: expected an integer",
+            ),
             (lambda d: d.update(offers={}), "offers is not a list"),
         ],
     )
@@ -345,6 +358,11 @@ class TestBookRoundTrip:
             ),
             (lambda d: d.update(sequence=1), "is after 1"),
             (lambda d: d["offers"][0].update(bus="99"), "unknown bus '99'"),
+            (
+                lambda d: d["injection_kw"].update({"99": 0.0}),
+                r"book\.json: baseline names unknown buses: \['99'\]",
+            ),
+            (lambda d: d["injection_kw"].pop("5"), r"book\.json: dispatch has no entry for bus '5'"),
         ],
     )
     def test_inconsistent_dump_is_an_input_error(self, tmp_path, damage, message):
@@ -355,6 +373,16 @@ class TestBookRoundTrip:
         path.write_text(json.dumps(data))
         network, _ = load_network(DATA / "fifteen_bus.yaml")
         with pytest.raises(InputError, match=message):
+            load_book(path, network, MarketConfig())
+
+    def test_infeasible_dumped_baseline_is_not_an_input_error(self, tmp_path):
+        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(result.book)
+        data["injection_kw"]["5"] += 1e6
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(data))
+        network, _ = load_network(DATA / "fifteen_bus.yaml")
+        with pytest.raises(InfeasibleBaselineError, match="baseline infeasible"):
             load_book(path, network, MarketConfig())
 
     def test_cut_off_dump_is_an_input_error(self, tmp_path):

@@ -9,7 +9,7 @@ from flexmarket import (
     UnknownBusError,
     build_ptdf,
     exchange_sensitivity,
-    headroom,
+    flow_rooms,
     line_flows,
     max_tradable_quantity,
 )
@@ -92,40 +92,55 @@ class TestLineFlows:
 
 
 class TestHeadroom:
+    """``flow_rooms`` gives each line's headroom: how far its flow may rise and fall."""
+
     @pytest.mark.parametrize(
         "limit, flow, up, down",
-        [(20.0, 20.0, 0.0, -40.0), (60.0, 0.0, 60.0, -60.0), (60.0, 40.0, 20.0, -100.0)],
+        [
+            (20.0, 20.0, 0.0, -40.0),
+            (60.0, 0.0, 60.0, -60.0),
+            (60.0, 40.0, 20.0, -100.0),
+            (60.0, -40.0, 100.0, -20.0),
+        ],
     )
     def test_margins(self, limit, flow, up, down):
-        result = headroom(Line("a", "b", 0.1, limit), flow)
-        assert result.up_margin_kw == pytest.approx(up)
-        assert result.down_margin_kw == pytest.approx(down)
+        # ``down`` is the signed flow change that takes the line to -limit.
+        up_room, down_room = flow_rooms(np.array([flow]), np.array([limit]))
+        assert up_room.tolist() == [up]
+        assert down_room.tolist() == [-down]
 
-    def test_overloaded_line_reports_negative_margin(self):
-        result = headroom(Line("a", "b", 0.1, 10.0), 15.0)
-        assert result.up_margin_kw == pytest.approx(-5.0)
+    @pytest.mark.parametrize("flow, up, down", [(15.0, 0.0, 25.0), (-15.0, 25.0, 0.0)])
+    def test_overloaded_line_has_no_room(self, flow, up, down):
+        up_room, down_room = flow_rooms(np.array([flow]), np.array([10.0]))
+        assert up_room.tolist() == [up]
+        assert down_room.tolist() == [down]
 
 
 class TestExchangeSensitivity:
     def test_adjacent_pair(self, three_bus):
         network, _ = three_bus
-        alpha = exchange_sensitivity(build_ptdf(network), "2", "1").alpha
+        alpha = exchange_sensitivity(build_ptdf(network), "2", "1")
         assert alpha == pytest.approx([-1.0, 0.0], abs=1e-9)
 
     def test_same_bus_is_zero(self, three_bus):
         network, _ = three_bus
-        alpha = exchange_sensitivity(build_ptdf(network), "2", "2").alpha
-        assert alpha == pytest.approx([0.0, 0.0], abs=1e-12)
+        alpha = exchange_sensitivity(build_ptdf(network), "2", "2")
+        assert alpha.tolist() == [0.0, 0.0]
 
     def test_far_pair(self, three_bus):
         network, _ = three_bus
-        alpha = exchange_sensitivity(build_ptdf(network), "3", "1").alpha
+        ptdf = build_ptdf(network)
+        alpha = exchange_sensitivity(ptdf, "3", "1")
         assert alpha == pytest.approx([-1.0, -1.0], abs=1e-9)
+        # The reverse exchange moves every line the other way, bit for bit.
+        assert (exchange_sensitivity(ptdf, "1", "3") == -alpha).all()
 
     def test_unknown_bus(self, three_bus):
         network, _ = three_bus
-        with pytest.raises(UnknownBusError):
+        with pytest.raises(UnknownBusError, match="'9'"):
             exchange_sensitivity(build_ptdf(network), "9", "1")
+        with pytest.raises(UnknownBusError, match="'9'"):
+            exchange_sensitivity(build_ptdf(network), "1", "9")
 
 
 class TestMaxTradableQuantity:

@@ -8,12 +8,12 @@ from flexmarket import (
     FeasibilityPolicy,
     Line,
     MarketError,
+    MatchRecord,
     Network,
     OrderBook,
     UnknownBusError,
     line_flows,
     load_network,
-    price_match,
 )
 from flexmarket.oracle import dc_solve, flow_violations
 from flexmarket.market import (
@@ -38,6 +38,10 @@ def offer(id, direction, bus, quantity, price):
     return Bid(id, "offer", direction, bus, quantity, price)
 
 
+def accepted_match(match_id, withdraw_bus="3", conditionality="conditional"):
+    return MatchRecord(match_id, "o1", "r1", "2", withdraw_bus, 5.0, 0.04, conditionality, 1)
+
+
 def make_book(three_bus, policy=ALL_COMBINATIONS, **kwargs):
     network, dispatch = three_bus
     if isinstance(policy, str):
@@ -46,30 +50,27 @@ def make_book(three_bus, policy=ALL_COMBINATIONS, **kwargs):
 
 
 class TestPriceMatch:
-    def test_earlier_request_sets_price(self):
+    """Pay as bid: whichever of the two bids arrived first sets the price."""
+
+    @staticmethod
+    def clear(three_bus, first, second):
+        book = make_book(three_bus)
+        assert book.submit_bid(first) == []
+        (match,) = book.submit_bid(second)
+        assert book.trade_log[-1].price_eur_per_kw == match.price_eur_per_kw
+        return match.price_eur_per_kw
+
+    def test_earlier_request_sets_price(self, three_bus):
         first = request("r", "up", "1", 30, 0.042)
-        first.sequence, second = 1, offer("o", "up", "2", 30, 0.035)
-        second.sequence = 2
-        assert price_match(first, second) == 0.042
+        assert self.clear(three_bus, first, offer("o", "up", "2", 30, 0.035)) == 0.042
 
-    def test_earlier_offer_sets_price(self):
+    def test_earlier_offer_sets_price(self, three_bus):
         first = offer("o", "down", "1", 10, 0.033)
-        first.sequence, second = 1, request("r", "down", "2", 10, 0.040)
-        second.sequence = 2
-        assert price_match(first, second) == 0.033
+        assert self.clear(three_bus, first, request("r", "down", "2", 10, 0.040)) == 0.033
 
-    def test_equal_prices(self):
+    def test_equal_prices(self, three_bus):
         first = offer("o", "up", "1", 10, 0.04)
-        second = request("r", "up", "2", 10, 0.04)
-        assert price_match(first, second) == 0.04
-
-    def test_incompatible_prices_raise(self):
-        with pytest.raises(MarketError, match="incompatible"):
-            price_match(offer("o", "up", "1", 10, 0.05), request("r", "up", "2", 10, 0.04))
-
-    def test_same_side_raises(self):
-        with pytest.raises(MarketError):
-            price_match(offer("a", "up", "1", 10, 0.05), offer("b", "up", "2", 10, 0.04))
+        assert self.clear(three_bus, first, request("r", "up", "2", 10, 0.04)) == 0.04
 
 
 class TestBidValidation:
@@ -395,6 +396,43 @@ class TestRestore:
         with pytest.raises(MarketError, match="fresh book"):
             book.restore(round=1, sequence=1, match_counter=0, seen_ids=[],
                          resting=[], accepted=[])
+        # A book that holds accepted matches is not fresh, whatever its counters say.
+        book = make_book(three_bus)
+        book.restore(round=0, sequence=0, match_counter=1, seen_ids=[], resting=[],
+                     accepted=[accepted_match("m1")])
+        with pytest.raises(MarketError, match="fresh book"):
+            book.restore(round=0, sequence=0, match_counter=1, seen_ids=[], resting=[],
+                         accepted=[accepted_match("m1")])
+
+    @pytest.mark.parametrize(
+        "accepted, error, message",
+        [
+            ([accepted_match("m1", conditionality="unconditional")], MarketError,
+             "match m1: accepted matches are conditional"),
+            ([accepted_match("m1"), accepted_match("m1")], MarketError, "duplicate match id 'm1'"),
+            ([accepted_match("m1"), accepted_match("m2", withdraw_bus="9")], UnknownBusError,
+             "match m2: unknown bus '9'"),
+        ],
+    )
+    def test_restore_refuses_accepted_matches_the_book_never_holds(
+        self, three_bus, accepted, error, message
+    ):
+        with pytest.raises(error, match=message):
+            make_book(three_bus).restore(round=2, sequence=2, match_counter=2, seen_ids=[],
+                                         resting=[], accepted=accepted)
+
+    def test_a_failed_restore_leaves_the_book_fresh(self, three_bus):
+        book = make_book(three_bus)
+        resting = request("r2", "up", "2", 5, 0.05)
+        resting.sequence = 2
+        state = dict(round=2, sequence=2, match_counter=1, seen_ids=["r1", "o1"],
+                     resting=[resting])
+        with pytest.raises(UnknownBusError):
+            book.restore(**state, accepted=[accepted_match("m1", withdraw_bus="9")])
+        assert book.snapshot() == make_book(three_bus).snapshot()
+        book.restore(**state, accepted=[accepted_match("m1")])
+        assert [b.id for b in book.requests] == ["r2"]
+        assert book.accepted == [accepted_match("m1")]
 
 
 class TestCounterpartyOrder:

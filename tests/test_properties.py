@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import tempfile
 import threading
 
@@ -16,14 +17,19 @@ from flexmarket import (
     FeasibilityPolicy,
     InputError,
     Line,
+    MarketConfig,
     MatchRecord,
     Network,
     OrderBook,
     TradeLogEntry,
+    book_json,
     build_ptdf,
     flow_rooms,
     line_flows,
+    load_book,
+    load_network,
     max_tradable_quantity,
+    new_book,
     quantity_caps,
     read_trade_log,
     trade_log_lines,
@@ -32,9 +38,13 @@ from flexmarket import (
 from flexmarket.grid import ALPHA_TOL
 from flexmarket.market import (
     ALL_COMBINATIONS,
+    ORDER_BEST_PRICE,
+    ORDER_FIFO,
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
     OUTCOME_REJECTED_CONGESTION,
+    POLICY_VARIANTS,
+    SCENARIOS,
 )
 from flexmarket.oracle import (
     dc_solve,
@@ -42,6 +52,8 @@ from flexmarket.oracle import (
     flow_violations,
     worst_subset_check,
 )
+
+from conftest import DATA
 
 #: Agreement bound between the closed-form check and brute-force
 #: enumeration, fixed before either is run: a few times the engine's
@@ -477,3 +489,66 @@ def test_trade_log_lines_match_json_dumps(entries):
         else:
             with pytest.raises(InputError, match="expected a finite number"):
                 read_trade_log(path)
+
+
+RESUME_STREAM_BIDS = 30
+
+
+def seeded_bid_stream(seed, buses):
+    """Crossing-prone offers and requests on ``buses``, a fifth of the requests unconditional.
+
+    Quantities are ints or floats, as a library caller may pass either;
+    a dump must reload each as the type the book held.
+    """
+    rng = random.Random(seed)
+    bids = []
+    for i in range(RESUME_STREAM_BIDS):
+        side = "request" if rng.random() < 0.5 else "offer"
+        direction = "up" if rng.random() < 0.5 else "down"
+        bus = rng.choice(buses)
+        quantity = rng.choice([rng.randint(5, 60), round(rng.uniform(1.0, 80.0), 3)])
+        if side == "request":
+            price = round(rng.uniform(0.030, 0.060), 4)
+            conditionality = "conditional" if rng.random() < 0.8 else "unconditional"
+        else:
+            price = round(rng.uniform(0.025, 0.055), 4)
+            conditionality = None
+        bids.append(Bid(f"b{i + 1}", side, direction, bus, quantity, price, conditionality))
+    return bids
+
+
+@pytest.mark.parametrize("network_file", ["three_bus.yaml", "fifteen_bus.yaml"])
+@pytest.mark.parametrize("policy", POLICY_VARIANTS)
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    split=st.integers(0, RESUME_STREAM_BIDS),
+    order=st.sampled_from([ORDER_FIFO, ORDER_BEST_PRICE]),
+)
+def test_a_dumped_and_reloaded_book_resumes_like_an_uninterrupted_one(
+    network_file, policy, seed, split, order
+):
+    network, baseline = load_network(DATA / network_file)
+    scenarios = DATA / "scenarios_example.yaml" if policy == SCENARIOS else None
+    config = MarketConfig(policy=policy, scenarios_path=scenarios, order=order)
+
+    whole = new_book(network, baseline, config)
+    for bid in seeded_bid_stream(seed, network.buses):
+        whole.submit_bid(bid)
+
+    bids = seeded_bid_stream(seed, network.buses)
+    first = new_book(network, baseline, config)
+    for bid in bids[:split]:
+        first.submit_bid(bid)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "book.json")
+        with open(path, "w") as handle:
+            handle.write(book_json(first))
+        resumed = load_book(path, network, config)
+    for bid in bids[split:]:
+        resumed.submit_bid(bid)
+
+    assert trade_log_lines(first.trade_log) + trade_log_lines(resumed.trade_log) == (
+        trade_log_lines(whole.trade_log)
+    )
+    assert book_json(resumed) == book_json(whole)
