@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InfeasibleBaselineError, InputError, MarketError, NetworkError
+from .errors import FlexMarketError, InputError
 from .fileio import (
-    EXIT_INFEASIBLE_BASELINE,
-    EXIT_INPUT_ERROR,
+    POLICY_ALIASES,
     MarketConfig,
     audit_trade_log,
     load_network,
@@ -24,6 +23,7 @@ from .fileio import (
     trade_log_lines,
 )
 from .grid import build_ptdf, line_flows
+from .market import ORDER_FIFO, ORDERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,11 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--policy",
         default="all",
-        choices=["individual", "cumulative", "both", "all", "scenarios"],
+        choices=list(POLICY_ALIASES),
         help="network-check combination policy (default: all)",
     )
     run.add_argument("--scenarios", help="YAML scenario file (scenarios policy only)")
-    run.add_argument("--order", default="fifo", choices=["fifo", "best_price"],
+    run.add_argument("--order", default=ORDER_FIFO, choices=ORDERS,
                      help="counterparty iteration order (default: fifo)")
     run.add_argument("--out", help="directory for trades.jsonl and book.json")
     run.set_defaults(func=cmd_run)
@@ -158,12 +158,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleBaselineError as exc:
+    except FlexMarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_BASELINE
-    except (InputError, NetworkError, MarketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return exc.exit_code
 
 
 def main_entry() -> None:

@@ -4,6 +4,9 @@
 class FlexMarketError(Exception):
     """Base class for all errors raised by this package."""
 
+    #: The exit code the CLI and ``run_replay`` report this error with.
+    exit_code = 2
+
 
 class InputError(FlexMarketError):
     """A file or record failed schema validation."""
@@ -19,6 +22,8 @@ class UnknownBusError(NetworkError):
 
 class InfeasibleBaselineError(FlexMarketError):
     """The baseline dispatch violates at least one line limit."""
+
+    exit_code = 3
 
 
 class MarketError(FlexMarketError):

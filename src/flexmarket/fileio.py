@@ -18,12 +18,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import (
-    InfeasibleBaselineError,
-    InputError,
-    MarketError,
-    NetworkError,
-)
+from .errors import FlexMarketError, InputError, MarketError, NetworkError
 from .grid import (
     QUANTITY_TOL,
     DispatchState,
@@ -55,8 +50,6 @@ from .market import (
 from .oracle import worst_subset_check
 
 EXIT_OK = 0
-EXIT_INPUT_ERROR = 2
-EXIT_INFEASIBLE_BASELINE = 3
 
 #: Short CLI spellings for the policy variants.
 POLICY_ALIASES = {
@@ -96,6 +89,11 @@ _DUMP_MATCH_FIELDS = dict(
     match_id=str, offer_id=str, request_id=str, inject_bus=str, withdraw_bus=str,
     quantity_kw=float, price_eur_per_kw=float, conditionality=str, round=int,
 )
+# The fields of a trade-log record, in TradeLogEntry order, with their types.
+_TRADE_FIELDS = dict(
+    round=int, offer_id=str, request_id=str, quantity_kw=float,
+    price_eur_per_kw=float, outcome=str, binding_lines=list,
+)
 
 
 @dataclass
@@ -121,13 +119,19 @@ class ReplayResult:
 
 
 def _number(value, where: str, kind=float):
-    """``value`` as a finite ``float``, or a whole ``int``; otherwise an InputError."""
+    """``value`` as a finite ``float``, or a whole ``int``; otherwise an InputError.
+
+    A string is not a number here, even one that holds a number.
+    """
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
+        finite = math.isfinite(value)  # a TypeError for a string, as for any non-number
+    except TypeError:
         raise InputError(f"{where}: expected a number, got {value!r}") from None
-    if not math.isfinite(number):
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise InputError(f"{where}: expected a finite number, got {value!r}")
+    number = float(value)
     if kind is float:
         return number
     if not number.is_integer():
@@ -148,7 +152,7 @@ def load_network(path, require_feasible: bool = True):
             data = yaml.safe_load(handle)
     except OSError as exc:
         raise InputError(f"cannot read network file: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise InputError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a mapping at the top level")
@@ -211,7 +215,7 @@ def load_bids(path) -> list:
     try:
         with open(path) as handle:
             raw_lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the text does not decode
         raise InputError(f"cannot read bids file: {exc}") from None
 
     bids = []
@@ -221,7 +225,7 @@ def load_bids(path) -> list:
             continue
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
             raise InputError(f"{path}:{lineno}: expected a JSON object")
@@ -258,7 +262,7 @@ def load_scenarios(path) -> tuple:
             data = yaml.safe_load(handle)
     except OSError as exc:
         raise InputError(f"cannot read scenarios file: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise InputError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a non-empty list of scenarios")
@@ -295,10 +299,8 @@ def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> R
         book = new_book(network, baseline, config)
         for bid in bids:
             book.submit_bid(bid)
-    except InfeasibleBaselineError as exc:
-        return ReplayResult([], None, EXIT_INFEASIBLE_BASELINE, str(exc))
-    except (InputError, NetworkError, MarketError) as exc:
-        return ReplayResult([], None, EXIT_INPUT_ERROR, str(exc))
+    except FlexMarketError as exc:
+        return ReplayResult([], None, exc.exit_code, str(exc))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -357,36 +359,27 @@ def write_trade_log(entries, path) -> None:
 def read_trade_log(path) -> list:
     """Read a trade log written by :func:`write_trade_log`.
 
-    A line that is not a complete record, whose quantity or price is not
-    a finite number, or whose round is not a whole number, raises
-    :class:`InputError` naming the line.
+    A line that is not a JSON record holding every field of
+    ``_TRADE_FIELDS`` with its type, a finite quantity and price, a
+    whole round and a list of binding lines, raises :class:`InputError`
+    naming the line.
     """
     entries = []
     try:
         with open(path) as handle:
             raw_lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the text does not decode
         raise InputError(f"cannot read trade log: {exc}") from None
     for lineno, raw in enumerate(raw_lines, start=1):
         if not raw.strip():
             continue
         try:
             record = json.loads(raw)
-            entries.append(
-                TradeLogEntry(
-                    round=_number(record["round"], f"{path}:{lineno}: round", int),
-                    offer_id=record["offer_id"],
-                    request_id=record["request_id"],
-                    quantity_kw=_number(record["quantity_kw"], f"{path}:{lineno}: quantity_kw"),
-                    price_eur_per_kw=_number(
-                        record["price_eur_per_kw"], f"{path}:{lineno}: price_eur_per_kw"
-                    ),
-                    outcome=record["outcome"],
-                    binding_lines=tuple(record["binding_lines"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: bad trade log record: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        record = _checked(record, _TRADE_FIELDS, f"{path}:{lineno}")
+        record["binding_lines"] = tuple(record["binding_lines"])
+        entries.append(TradeLogEntry(**{key: record[key] for key in _TRADE_FIELDS}))
     return entries
 
 
@@ -419,10 +412,10 @@ def book_json(book: OrderBook) -> str:
 
 
 def _dumped_number(value, where: str, kind=float):
-    """A number read back from a dump, as :func:`_number` checks it.
+    """A number read back from a dump or trade log, as :func:`_number` checks it.
 
-    An integer stays an ``int`` even in a float field: the book held it
-    as one and must dump it as one again.
+    An integer stays an ``int`` even in a float field: the engine held
+    it as one and must write it as one again.
     """
     number = _number(value, where, kind)
     return value if type(value) is int else number
@@ -459,7 +452,7 @@ def read_book_dump(path) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read book dump: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
     data = _checked(data, _DUMP_FIELDS, str(path))

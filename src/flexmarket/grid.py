@@ -15,6 +15,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -49,14 +50,10 @@ class Line:
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
             raise NetworkError(f"line {self.from_bus}-{self.to_bus} is a self-loop")
-        if not self.reactance > 0:
-            raise NetworkError(
-                f"line {self.from_bus}-{self.to_bus}: reactance must be > 0"
-            )
-        if not self.limit_kw > 0:
-            raise NetworkError(
-                f"line {self.from_bus}-{self.to_bus}: limit_kw must be > 0"
-            )
+        for name in ("reactance", "limit_kw"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise NetworkError(f"line {self.label}: {name} must be a number > 0")
 
     @property
     def label(self) -> str:
@@ -274,6 +271,18 @@ def quantity_caps(alpha: np.ndarray, up_room: np.ndarray, down_room: np.ndarray)
     return room / np.abs(alpha)
 
 
+def admissible_quantity(line_caps: np.ndarray, quantity_kw: float) -> float:
+    """The part of a requested exchange that the per-line caps admit.
+
+    A quantity below ``QUANTITY_TOL`` collapses to zero only when some
+    line caps the exchange below the requested quantity; an exchange
+    that fits in full is never refused, however small.
+    """
+    cap = float(line_caps.min())
+    quantity = min(float(quantity_kw), cap)
+    return 0.0 if quantity < QUANTITY_TOL and cap < quantity_kw else quantity
+
+
 def max_tradable_quantity(
     network: Network,
     ptdf: PtdfMatrix,
@@ -288,17 +297,15 @@ def max_tradable_quantity(
     Any activation between zero and the returned value leaves every line
     within its limit: per line the flow moves linearly with the quantity,
     so the extreme flow occurs at full activation and partial activations
-    are covered automatically. Results below ``QUANTITY_TOL`` collapse
-    to zero.
+    are covered automatically. A result below ``QUANTITY_TOL`` collapses
+    to zero as :func:`admissible_quantity` decides.
     """
     if not quantity_kw > 0:
         raise ValueError("quantity_kw must be positive")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)
     rooms = flow_rooms(line_flows(ptdf, dispatch), network.limit_vector())
-    caps = quantity_caps(alpha, *rooms)
-    quantity = min(float(quantity_kw), float(caps.min()))
-    return quantity if quantity >= QUANTITY_TOL else 0.0
+    return admissible_quantity(quantity_caps(alpha, *rooms), quantity_kw)
 
 
 def check_baseline(network: Network, ptdf: PtdfMatrix, dispatch: DispatchState) -> np.ndarray:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import logging
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -42,6 +41,7 @@ from .grid import (
     UP,
     DispatchState,
     Network,
+    admissible_quantity,
     build_ptdf,
     check_baseline,
     exchange_buses,
@@ -49,8 +49,6 @@ from .grid import (
     flow_rooms,
     quantity_caps,
 )
-
-logger = logging.getLogger(__name__)
 
 OFFER = "offer"
 REQUEST = "request"
@@ -74,6 +72,7 @@ POLICY_VARIANTS = (
 
 ORDER_FIFO = "fifo"
 ORDER_BEST_PRICE = "best_price"
+ORDERS = (ORDER_FIFO, ORDER_BEST_PRICE)
 
 OUTCOME_MATCHED = "matched"
 OUTCOME_PARTIAL = "partial(congestion)"
@@ -136,10 +135,15 @@ class Bid:
             raise MarketError(f"bid {self.id}: unknown side {self.side!r}")
         if self.direction not in (UP, DOWN):
             raise MarketError(f"bid {self.id}: unknown direction {self.direction!r}")
-        if not (math.isfinite(self.quantity_kw) and self.quantity_kw > 0):
-            raise MarketError(f"bid {self.id}: quantity_kw must be finite and > 0")
-        if not (math.isfinite(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
-            raise MarketError(f"bid {self.id}: price_eur_per_kw must be finite and >= 0")
+        try:
+            if not (math.isfinite(self.quantity_kw) and self.quantity_kw > 0):
+                raise MarketError(f"bid {self.id}: quantity_kw must be finite and > 0")
+            if not (math.isfinite(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
+                raise MarketError(f"bid {self.id}: price_eur_per_kw must be finite and >= 0")
+        except (TypeError, OverflowError):
+            raise MarketError(
+                f"bid {self.id}: quantity_kw and price_eur_per_kw must be finite numbers"
+            ) from None
         if self.side == REQUEST:
             if self.conditionality not in (CONDITIONAL, UNCONDITIONAL):
                 raise MarketError(
@@ -205,7 +209,7 @@ class OrderBook:
         *,
         order: str = ORDER_FIFO,
     ):
-        if order not in (ORDER_FIFO, ORDER_BEST_PRICE):
+        if order not in ORDERS:
             raise MarketError(f"unknown counterparty order {order!r}")
         unknown = set(baseline.injection_kw) - set(network.buses)
         if unknown:
@@ -264,7 +268,6 @@ class OrderBook:
         self._seen_ids.add(bid.id)
         self.round += 1
         (self.offers if bid.side == OFFER else self.requests).append(bid)
-        logger.info("round %d: %s %s submitted", self.round, bid.side, bid.id)
 
         matches = self._try_match(bid)
         if any(rec.conditionality == UNCONDITIONAL for rec in matches):
@@ -279,7 +282,6 @@ class OrderBook:
         """
         new_matches: list = []
         while True:
-            logger.info("round %d: re-evaluating %d resting offers", self.round, len(self.offers))
             pass_matches: list = []
             for offer in list(self.offers):
                 if offer.quantity_kw > 0:
@@ -321,7 +323,6 @@ class OrderBook:
             for i, bid in enumerate(pool):
                 if bid.id == bid_id:
                     del pool[i]
-                    logger.info("cancelled %s (remainder %g kW)", bid_id, bid.quantity_kw)
                     return bid
         raise MarketError(f"no live bid with id {bid_id!r}")
 
@@ -363,7 +364,8 @@ class OrderBook:
         :class:`MarketError` for a state the book could not have
         reached: duplicate bid ids, sequence numbers or match ids, a
         sequence number after ``sequence``, an accepted match that is
-        not conditional, or a bid or match on an unknown bus. Every input
+        not conditional or whose id ``m<N>`` has N above
+        ``match_counter``, or a bid or match on an unknown bus. Every input
         is checked before the book changes, so a failed restore leaves
         it fresh.
         """
@@ -387,6 +389,11 @@ class OrderBook:
         for record in accepted:
             if record.conditionality != CONDITIONAL:
                 raise MarketError(f"match {record.match_id}: accepted matches are conditional")
+            number = record.match_id[1:]
+            if record.match_id[:1] == "m" and number.isdecimal() and int(number) > match_counter:
+                raise MarketError(
+                    f"match {record.match_id}: id is above match_counter {match_counter}"
+                )
             for bus in (record.inject_bus, record.withdraw_bus):
                 if bus not in self.ptdf:
                     raise UnknownBusError(f"match {record.match_id}: unknown bus {bus!r}")
@@ -524,14 +531,10 @@ class OrderBook:
         # The match was capped to fit, so this must hold; a failure here is a bug.
         self._flows = check_baseline(self.network, self.ptdf, self.baseline)
         self._rooms.clear()
-        logger.info("baseline updated by unconditional match %s", record.match_id)
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
         self.trade_log.append(
             TradeLogEntry(self.round, offer.id, request.id, quantity, price, outcome, binding)
-        )
-        logger.info(
-            "round %d: %s/%s %s %g kW", self.round, offer.id, request.id, outcome, quantity
         )
 
     # ------------------------------------------------------------------
@@ -577,21 +580,15 @@ class OrderBook:
     ):
         """Cap a candidate exchange against every mandated combination.
 
-        Returns the admissible quantity and the labels of the lines whose
-        cap bound it (empty when the full quantity goes through). A
-        quantity below ``QUANTITY_TOL`` collapses to zero only when some
-        line caps it below the requested quantity; an exchange that fits
-        in full is never refused, however small.
+        Returns the admissible quantity, as :func:`admissible_quantity`
+        decides it, and the labels of the lines whose cap bound it (empty
+        when the full quantity goes through).
         """
         if not quantity_kw > 0:
             raise MarketError("candidate quantity must be positive")
         alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
         line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
-
-        cap = float(line_caps.min())
-        quantity = min(float(quantity_kw), cap)
-        if quantity < QUANTITY_TOL and cap < quantity_kw:
-            quantity = 0.0
+        quantity = admissible_quantity(line_caps, quantity_kw)
         binding: tuple = ()
         if quantity < quantity_kw - QUANTITY_TOL:
             bound = (line_caps <= quantity + QUANTITY_TOL).nonzero()[0]

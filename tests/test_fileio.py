@@ -94,7 +94,8 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match=f"line #1 {field}: expected a number"):
             load_network(path)
 
-    @pytest.mark.parametrize("value", ["abc", ".nan", "[1]"])
+    # PyYAML reads 1.0e3 as a string: YAML 1.1 wants a signed exponent.
+    @pytest.mark.parametrize("value", ["abc", ".nan", "[1]", '"-20"', "1.0e3"])
     def test_bad_injection_is_an_input_error(self, tmp_path, value):
         path = write_three_bus(tmp_path, injections=f"  2: {value}\n  3: -20")
         with pytest.raises(InputError, match="injection_kw of bus 2"):
@@ -170,6 +171,7 @@ class TestLoadBids:
             ("price_eur_per_kw", '"cheap"'),
             ("price_eur_per_kw", "Infinity"),
             ("price_eur_per_kw", "null"),
+            ("quantity_kw", '"5"'),
         ],
     )
     def test_bad_number_is_an_input_error(self, tmp_path, field, value):
@@ -182,6 +184,29 @@ class TestLoadBids:
         )
         with pytest.raises(InputError, match=rf"bids.jsonl:1: {field}: expected a"):
             load_bids(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00{", ("1" * 5000).encode()],
+    ids=["not-utf-8", "integer-too-long-to-convert"],
+)
+@pytest.mark.parametrize(
+    "load",
+    [
+        load_network,
+        load_bids,
+        load_scenarios,
+        read_trade_log,
+        lambda path: load_book(path, load_network(DATA / "three_bus.yaml")[0], MarketConfig()),
+    ],
+    ids=["network", "bids", "scenarios", "trade_log", "book"],
+)
+def test_unreadable_text_is_an_input_error(tmp_path, load, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(InputError):
+        load(path)
 
 
 class TestScenarios:
@@ -241,6 +266,22 @@ class TestTradeLogRoundTrip:
         path = tmp_path / "trades.jsonl"
         path.write_text("".join(json.dumps({**r, "round": 1.5}) + "\n" for r in records))
         with pytest.raises(InputError, match=r"trades\.jsonl:1: round: expected an integer"):
+            read_trade_log(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("binding_lines", "2-3", "binding_lines is not a list"),
+            ("offer_id", 5, "offer_id is not a str"),
+            ("price_eur_per_kw", "0.04", "price_eur_per_kw: expected a number"),
+        ],
+    )
+    def test_mistyped_field_is_an_input_error(self, tmp_path, field, value, message):
+        result = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        records = [json.loads(line) for line in trade_log_lines(result.trades)]
+        path = tmp_path / "trades.jsonl"
+        path.write_text("".join(json.dumps({**r, field: value}) + "\n" for r in records))
+        with pytest.raises(InputError, match=rf"trades\.jsonl:1: {message}"):
             read_trade_log(path)
 
     def test_lines_are_deterministic(self):
@@ -311,6 +352,10 @@ class TestBookRoundTrip:
                 r"offers\[0\]: sequence: expected an integer",
             ),
             (lambda d: d.update(offers={}), "offers is not a list"),
+            (
+                lambda d: d["offers"][0].update(quantity_kw="5"),
+                r"offers\[0\]: quantity_kw: expected a number",
+            ),
         ],
     )
     def test_truncated_dump_is_an_input_error(self, tmp_path, damage, message):
@@ -363,6 +408,10 @@ class TestBookRoundTrip:
                 r"book\.json: baseline names unknown buses: \['99'\]",
             ),
             (lambda d: d["injection_kw"].pop("5"), r"book\.json: dispatch has no entry for bus '5'"),
+            (
+                lambda d: d.update(match_counter=0),
+                r"book\.json: match m\d+: id is above match_counter 0",
+            ),
         ],
     )
     def test_inconsistent_dump_is_an_input_error(self, tmp_path, damage, message):

@@ -3,9 +3,11 @@ import pytest
 
 from flexmarket import (
     DispatchState,
+    FeasibilityPolicy,
     Line,
     Network,
     NetworkError,
+    OrderBook,
     UnknownBusError,
     build_ptdf,
     exchange_sensitivity,
@@ -13,6 +15,7 @@ from flexmarket import (
     line_flows,
     max_tradable_quantity,
 )
+from flexmarket.market import INDIVIDUAL
 from flexmarket.oracle import dc_solve
 
 from conftest import random_network, random_tree_network
@@ -62,6 +65,14 @@ class TestPtdf:
                 lines=[Line("1", "2", 0.1, 10.0), Line("3", "4", 0.1, 10.0)],
                 slack_bus="1",
             )
+
+    @pytest.mark.parametrize(
+        "reactance, limit, field",
+        [("0.1", 10.0, "reactance"), (0.1, None, "limit_kw"), (0.0, 10.0, "reactance")],
+    )
+    def test_a_line_needs_positive_numbers(self, reactance, limit, field):
+        with pytest.raises(NetworkError, match=f"line 1-2: {field} must be a number > 0"):
+            Line("1", "2", reactance, limit)
 
     def test_meshed_network_supported(self):
         network = Network(
@@ -189,6 +200,32 @@ class TestMaxTradableQuantity:
                 )
             )
         assert quantities == sorted(quantities, reverse=True)
+
+    @pytest.mark.parametrize(
+        "headroom, request_bus, offer_bus, direction, quantity, expected",
+        [
+            # Bus 3 to bus 2 eases line 2-3: 1e-7 kW fits in full, below QUANTITY_TOL.
+            (0.0, "2", "3", "up", 1e-7, 1e-7),
+            # Bus 2 to bus 3 loads line 2-3, which has 5e-7 kW of room left:
+            # a larger request is capped below QUANTITY_TOL, so nothing clears,
+            (5e-7, "2", "3", "down", 1e-3, 0.0),
+            # while a request that fits in that room clears in full.
+            (5e-7, "2", "3", "down", 1e-7, 1e-7),
+        ],
+    )
+    def test_agrees_with_the_order_book_below_tolerance(
+        self, three_bus, headroom, request_bus, offer_bus, direction, quantity, expected
+    ):
+        network, _ = three_bus
+        dispatch = DispatchState({"1": 40.0 - headroom, "2": -20.0, "3": -20.0 + headroom})
+        book = OrderBook(network, dispatch, FeasibilityPolicy(INDIVIDUAL))
+        grid_quantity = max_tradable_quantity(
+            network, build_ptdf(network), dispatch, request_bus, offer_bus, direction, quantity
+        )
+        book_quantity = book.check_combination_feasibility(
+            request_bus, offer_bus, direction, quantity
+        )
+        assert grid_quantity == book_quantity == expected
 
     def test_clamps_to_request_when_limits_are_huge(self, three_bus):
         network, dispatch = three_bus

@@ -100,6 +100,13 @@ class TestBidValidation:
         with pytest.raises(MarketError, match="price_eur_per_kw must be finite"):
             request("r", "up", "1", 10, price)
 
+    @pytest.mark.parametrize(
+        "quantity, price", [("5", 0.05), (5.0, None), (10 ** 400, 0.05), (5.0, [1])]
+    )
+    def test_a_non_number_is_a_market_error(self, quantity, price):
+        with pytest.raises(MarketError, match="bid o: quantity_kw and price_eur_per_kw must be"):
+            offer("o", "up", "1", quantity, price)
+
 
 class TestSubmission:
     def test_lonely_bid_rests(self, three_bus):
@@ -412,6 +419,9 @@ class TestRestore:
             ([accepted_match("m1"), accepted_match("m1")], MarketError, "duplicate match id 'm1'"),
             ([accepted_match("m1"), accepted_match("m2", withdraw_bus="9")], UnknownBusError,
              "match m2: unknown bus '9'"),
+            # The book would hand out m3 again on its next match.
+            ([accepted_match("m1"), accepted_match("m3")], MarketError,
+             "match m3: id is above match_counter 2"),
         ],
     )
     def test_restore_refuses_accepted_matches_the_book_never_holds(

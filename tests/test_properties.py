@@ -1,5 +1,8 @@
-"""Property-based checks of the grid math and the clearing invariants."""
+"""Property-based checks of the grid math, the clearing invariants and the input paths."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -9,32 +12,39 @@ import threading
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from flexmarket import (
     Bid,
     DispatchState,
     FeasibilityPolicy,
+    InfeasibleBaselineError,
     InputError,
     Line,
     MarketConfig,
+    MarketError,
     MatchRecord,
     Network,
+    NetworkError,
     OrderBook,
     TradeLogEntry,
     book_json,
     build_ptdf,
     flow_rooms,
     line_flows,
+    load_bids,
     load_book,
     load_network,
     max_tradable_quantity,
     new_book,
     quantity_caps,
     read_trade_log,
+    run_replay,
     trade_log_lines,
     write_trade_log,
 )
+from flexmarket.cli import main
 from flexmarket.grid import ALPHA_TOL
 from flexmarket.market import (
     ALL_COMBINATIONS,
@@ -552,3 +562,84 @@ def test_a_dumped_and_reloaded_book_resumes_like_an_uninterrupted_one(
         trade_log_lines(whole.trade_log)
     )
     assert book_json(resumed) == book_json(whole)
+
+
+# ----------------------------------------------------------------------
+# input fuzzing
+
+#: Every error an input path may raise; the CLI reports each with exit 2 or 3.
+INPUT_ERRORS = (InputError, NetworkError, MarketError, InfeasibleBaselineError)
+NETWORK = str(DATA / "fifteen_bus.yaml")
+BIDS = str(DATA / "bids_fifteen_bus.jsonl")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def fifteen_bus_outputs():
+    """The trade log and book dump of the bundled 15-bus replay, as JSON text."""
+    result = run_replay(NETWORK, BIDS, MarketConfig())
+    return "\n".join(trade_log_lines(result.trades)) + "\n", book_json(result.book)
+
+
+def swap_one_field(records, pick, value):
+    """Set the field that ``pick`` chooses, of the record it chooses, to ``value``."""
+    record = records[pick % len(records)]
+    keys = sorted(record)
+    record[keys[pick // len(records) % len(keys)]] = value
+
+
+def fuzzed_input(kind, path, pick, value):
+    """Write a valid input of ``kind`` with one field swapped; return its loader and CLI call."""
+    if kind == "network":
+        with open(NETWORK) as handle:
+            data = yaml.safe_load(handle)
+        swap_one_field(data["lines"], pick, value)
+        with open(path, "w") as handle:
+            yaml.safe_dump(data, handle)
+        return load_network, ["run", "--network", path, "--bids", BIDS]
+    if kind == "book":
+        data = json.loads(fifteen_bus_outputs()[1])
+        swap_one_field(
+            [data, *data["requests"], *data["offers"], *data["accepted_matches"]], pick, value
+        )
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        network, _ = load_network(NETWORK)
+        return (lambda p: load_book(p, network, MarketConfig())), ["book", "--book", path]
+    if kind == "bids":
+        with open(BIDS) as handle:
+            records = [json.loads(line) for line in handle]
+        loader, command = load_bids, ["run", "--network", NETWORK, "--bids", path]
+    else:
+        records = [json.loads(line) for line in fifteen_bus_outputs()[0].splitlines()]
+        loader = read_trade_log
+        command = ["check", "--network", NETWORK, "--exhaustive", "--bids", BIDS, "--trades", path]
+    swap_one_field(records, pick, value)
+    with open(path, "w") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
+    return loader, command
+
+
+@pytest.mark.parametrize("kind", ["network", "bids", "trades", "book"])
+@settings(max_examples=40, deadline=None)
+@given(pick=st.integers(0, 10 ** 6), value=json_values)
+def test_a_swapped_field_loads_or_fails_with_an_input_error(kind, pick, value):
+    """Any JSON value in any field of a valid input: a clean load or a documented error."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input")
+        load, command = fuzzed_input(kind, path, pick, value)
+        try:
+            load(path)
+        except INPUT_ERRORS:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
