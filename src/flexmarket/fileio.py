@@ -51,6 +51,10 @@ from .oracle import worst_subset_check
 
 EXIT_OK = 0
 
+# libyaml's parser where PyYAML was built with it; the pure-Python one only
+# where it was not. Both build the same data with the safe constructor.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 #: Short CLI spellings for the policy variants.
 POLICY_ALIASES = {
     "individual": INDIVIDUAL,
@@ -149,7 +153,7 @@ def load_network(path, require_feasible: bool = True):
     """
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise InputError(f"cannot read network file: {exc}") from None
     except (yaml.YAMLError, ValueError) as exc:
@@ -259,7 +263,7 @@ def load_scenarios(path) -> tuple:
     """Read activation scenarios: a YAML list of lists of match ids."""
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise InputError(f"cannot read scenarios file: {exc}") from None
     except (yaml.YAMLError, ValueError) as exc:

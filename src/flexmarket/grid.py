@@ -9,19 +9,21 @@ to a bus-to-bus exchange, each line's room for a flow rise and a flow
 fall, the per-line cap those rooms put on an exchange, and the largest
 exchange quantity that keeps all lines within their limits.
 
-All functions here are pure; :class:`PtdfMatrix` is write-locked after
-construction and safe to share between threads.
+All functions here are pure apart from :func:`build_ptdf`, which
+solves each network's PTDF once and keeps it on the network;
+:class:`PtdfMatrix` is write-locked after construction and safe to share
+between threads and order books.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleBaselineError, NetworkError, UnknownBusError
+from .errors import InfeasibleBaselineError, MarketError, NetworkError, UnknownBusError
 
 UP = "up"
 DOWN = "down"
@@ -68,6 +70,8 @@ class Network:
     lines: list
     slack_bus: Hashable
     line_labels: tuple = field(init=False, repr=False)
+    # (key, PtdfMatrix) of the last build_ptdf on this network; see there.
+    _ptdf: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.buses)) != len(self.buses):
@@ -175,7 +179,23 @@ class PtdfMatrix:
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
-    """Build the PTDF matrix of a network.
+    """The PTDF matrix of a network, solved once per network.
+
+    Later calls on the same network return the same write-locked
+    :class:`PtdfMatrix`, so the book, the loaders and the CLI share one
+    solve. The matrix is kept on the network with the buses, lines and
+    slack bus it was solved from, and is solved again once any of them
+    is replaced. Raises :class:`NetworkError` for a singular system or a
+    non-finite entry, as a subnormal reactance gives.
+    """
+    key = (tuple(network.buses), tuple(network.lines), network.slack_bus)
+    if network._ptdf is None or network._ptdf[0] != key:
+        network._ptdf = (key, _solve_ptdf(network))
+    return network._ptdf[1]
+
+
+def _solve_ptdf(network: Network) -> PtdfMatrix:
+    """Solve the PTDF of a network.
 
     The reduced nodal susceptance matrix (slack row and column removed)
     is solved against the branch susceptance-incidence matrix. The sign
@@ -188,20 +208,24 @@ def build_ptdf(network: Network) -> PtdfMatrix:
 
     incidence = np.zeros((n_lines, n))
     weights = np.empty(n_lines)
-    for row, line in enumerate(network.lines):
-        incidence[row, pos[line.from_bus]] = 1.0
-        incidence[row, pos[line.to_bus]] = -1.0
-        weights[row] = 1.0 / line.reactance
-
-    branch_susceptance = weights[:, None] * incidence
-    nodal_susceptance = incidence.T @ branch_susceptance
     keep = [i for i in range(n) if buses[i] != network.slack_bus]
-    reduced = nodal_susceptance[np.ix_(keep, keep)]
-    try:
-        # PTDF_red = Bf_red @ inv(B_red); solve on the transpose instead of inverting.
-        ptdf_reduced = np.linalg.solve(reduced.T, branch_susceptance[:, keep].T).T
-    except np.linalg.LinAlgError:
-        raise NetworkError("singular reduced susceptance matrix") from None
+    # A subnormal reactance gives an infinite weight and NaN entries; they
+    # are refused after the solve instead of warned about on the way.
+    with np.errstate(all="ignore"):
+        for row, line in enumerate(network.lines):
+            incidence[row, pos[line.from_bus]] = 1.0
+            incidence[row, pos[line.to_bus]] = -1.0
+            weights[row] = 1.0 / line.reactance
+        branch_susceptance = weights[:, None] * incidence
+        nodal_susceptance = incidence.T @ branch_susceptance
+        reduced = nodal_susceptance[np.ix_(keep, keep)]
+        try:
+            # PTDF_red = Bf_red @ inv(B_red); solve on the transpose instead of inverting.
+            ptdf_reduced = np.linalg.solve(reduced.T, branch_susceptance[:, keep].T).T
+        except np.linalg.LinAlgError:
+            raise NetworkError("singular reduced susceptance matrix") from None
+    if not np.isfinite(ptdf_reduced).all():
+        raise NetworkError("PTDF has non-finite entries; check the line reactances")
 
     matrix = np.zeros((n_lines, n))
     matrix[:, keep] = ptdf_reduced
@@ -230,7 +254,7 @@ def exchange_buses(request_bus, offer_bus, direction: str):
         return offer_bus, request_bus
     if direction == DOWN:
         return request_bus, offer_bus
-    raise ValueError(f"unknown direction {direction!r}")
+    raise MarketError(f"unknown direction {direction!r}")
 
 
 def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> np.ndarray:
@@ -301,7 +325,7 @@ def max_tradable_quantity(
     to zero as :func:`admissible_quantity` decides.
     """
     if not quantity_kw > 0:
-        raise ValueError("quantity_kw must be positive")
+        raise MarketError("quantity_kw must be positive")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)
     rooms = flow_rooms(line_flows(ptdf, dispatch), network.limit_vector())

@@ -162,22 +162,46 @@ def test_check_exhaustive_rejects_a_non_finite_trade_log_number(tmp_path, capsys
     assert f"{field}: expected a finite number" in capsys.readouterr().err
 
 
-def test_the_cli_runs_as_a_module(tmp_path):
+def cli(*args):
+    """Run ``python -m flexmarket.cli`` in a new process, as a user would."""
     src = str(Path(flexmarket.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "flexmarket.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
-    def cli(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "flexmarket.cli", *args],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
 
+def test_the_cli_runs_as_a_module(tmp_path):
     shown = cli("--help")
     assert shown.returncode == 0
     assert "usage: flexmarket" in shown.stdout
     missing = cli("check", "--network", str(tmp_path / "missing.yaml"))
     assert missing.returncode == 2
     assert "cannot read network file" in missing.stderr
+
+
+def test_a_subnormal_reactance_exits_2_without_a_traceback(tmp_path):
+    # Left unrefused, the NaN PTDF of this network would clear the 500 kW
+    # down exchange from bus 2 to bus 3 across the 20 kW line 2-3.
+    network = tmp_path / "net.yaml"
+    network.write_text(
+        (DATA / "three_bus.yaml").read_text().replace("reactance: 0.1", "reactance: 1.0e-320", 1)
+    )
+    bids = tmp_path / "bids.jsonl"
+    bids.write_text(
+        json.dumps({"id": "r1", "side": "request", "direction": "down", "bus": "2",
+                    "quantity_kw": 500, "price_eur_per_kw": 0.1, "conditionality": "unconditional"})
+        + "\n"
+        + json.dumps({"id": "o1", "side": "offer", "direction": "down", "bus": "3",
+                      "quantity_kw": 500, "price_eur_per_kw": 0.05})
+        + "\n"
+    )
+    for args in (("run", "--bids", str(bids)), ("check",), ("ptdf",)):
+        done = cli(*args, "--network", str(network))
+        assert done.returncode == 2, args
+        assert done.stdout == ""
+        assert done.stderr == "error: PTDF has non-finite entries; check the line reactances\n"
 
 
 def test_ptdf_dump(capsys):

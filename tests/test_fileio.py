@@ -1,12 +1,15 @@
 import json
 import random
+import warnings
 
 import pytest
+import yaml
 
 from flexmarket import (
     InfeasibleBaselineError,
     InputError,
     MarketConfig,
+    NetworkError,
     book_json,
     dump_book,
     line_flows,
@@ -20,6 +23,7 @@ from flexmarket import (
     trade_log_lines,
     write_trade_log,
 )
+from flexmarket import fileio, grid
 from flexmarket.grid import build_ptdf
 
 from conftest import DATA
@@ -100,6 +104,87 @@ class TestLoadNetwork:
         path = write_three_bus(tmp_path, injections=f"  2: {value}\n  3: -20")
         with pytest.raises(InputError, match="injection_kw of bus 2"):
             load_network(path)
+
+    def test_a_subnormal_reactance_is_refused(self, tmp_path):
+        # 1/1e-320 overflows to inf and the PTDF to NaN; a book built on it
+        # would clear 500 kW down from bus 2 to bus 3 across the 20 kW line.
+        path = write_three_bus(tmp_path)
+        path.write_text(path.read_text().replace("reactance: 0.1", "reactance: 1.0e-320", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetworkError, match="PTDF has non-finite entries"):
+                load_network(path)
+
+
+class TestPtdfSharing:
+    """The loaders and every book on one network share its one PTDF solve."""
+
+    def test_one_solve_per_network(self, tmp_path, monkeypatch):
+        solve, solves = grid._solve_ptdf, []
+
+        def counted(network):
+            solves.append(network)
+            return solve(network)
+
+        monkeypatch.setattr(grid, "_solve_ptdf", counted)
+        config = MarketConfig()
+        network, baseline = load_network(DATA / "fifteen_bus.yaml")
+        ptdf = build_ptdf(network)
+        books = [new_book(network, baseline, config) for _ in range(3)]
+        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
+        path = tmp_path / "book.json"
+        path.write_text(book_json(result.book))
+        reloaded = load_book(path, network, config)
+
+        assert all(book.ptdf is ptdf for book in books)
+        assert reloaded.ptdf is ptdf
+        assert not ptdf.matrix.flags.writeable
+        # One solve for this network, one for the network run_replay loaded.
+        assert solves == [network, result.book.network]
+        assert result.book.network is not network
+        assert result.book.ptdf is not ptdf
+        assert (result.book.ptdf.matrix == ptdf.matrix).all()
+
+
+NETWORK_FILES = sorted(p.name for p in DATA.glob("*.yaml") if not p.name.startswith("scenarios"))
+
+
+class TestYamlLoaderFallback:
+    """The pure-Python loader, used where libyaml is missing, reads every file alike."""
+
+    def test_libyaml_is_used_where_installed(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert fileio._YAML_LOADER is expected
+
+    @pytest.mark.parametrize("name", NETWORK_FILES)
+    def test_networks_load_alike(self, monkeypatch, name):
+        network, baseline = load_network(DATA / name)
+        monkeypatch.setattr(fileio, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_network(DATA / name) == (network, baseline)
+
+    def test_scenarios_load_alike(self, monkeypatch):
+        scenarios = load_scenarios(DATA / "scenarios_example.yaml")
+        monkeypatch.setattr(fileio, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_scenarios(DATA / "scenarios_example.yaml") == scenarios
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("buses: [1, 2\nslack_bus: 1\n", "invalid YAML"),
+            ("lines: {a: 1}\n  - b\n", "invalid YAML"),
+            ("- 1\n- 2\n", "expected a mapping at the top level"),
+            ("just text\n", "expected a mapping at the top level"),
+        ],
+    )
+    def test_bad_files_fail_alike(self, tmp_path, monkeypatch, text, message):
+        path = tmp_path / "net.yaml"
+        path.write_text(text)
+        for loader in (fileio._YAML_LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(fileio, "_YAML_LOADER", loader)
+            with pytest.raises(InputError, match=message) as caught:
+                load_network(path)
+            assert type(caught.value) is InputError
+            assert str(path) in str(caught.value)
 
 
 class TestLoadBids:

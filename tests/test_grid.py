@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from flexmarket import (
     DispatchState,
     FeasibilityPolicy,
     Line,
+    MarketError,
     Network,
     NetworkError,
     OrderBook,
@@ -74,6 +77,18 @@ class TestPtdf:
         with pytest.raises(NetworkError, match=f"line 1-2: {field} must be a number > 0"):
             Line("1", "2", reactance, limit)
 
+    @pytest.mark.parametrize("reactance", [1.0e-320, np.float64(1.0e-320)], ids=["float", "float64"])
+    def test_a_non_finite_ptdf_is_refused_without_warnings(self, reactance):
+        network = Network(
+            buses=["1", "2", "3"],
+            lines=[Line("1", "2", reactance, 60.0), Line("2", "3", 0.1, 20.0)],
+            slack_bus="1",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetworkError, match="non-finite"):
+                build_ptdf(network)
+
     def test_meshed_network_supported(self):
         network = Network(
             buses=["1", "2", "3"],
@@ -84,6 +99,50 @@ class TestPtdf:
         assert line_flows(build_ptdf(network), dispatch) == pytest.approx(
             dc_solve(network, dispatch), rel=1e-9, abs=1e-9
         )
+
+
+def meshed_three_bus():
+    return Network(
+        buses=["1", "2", "3"],
+        lines=[Line("1", "2", 0.2, 50.0), Line("2", "3", 0.2, 50.0), Line("1", "3", 0.2, 50.0)],
+        slack_bus="1",
+    )
+
+
+class TestPtdfSharing:
+    """Each network's PTDF is solved once and handed out again until the network changes."""
+
+    def test_a_network_gets_one_write_locked_matrix(self):
+        network = meshed_three_bus()
+        ptdf = build_ptdf(network)
+        assert build_ptdf(network) is ptdf
+        assert not ptdf.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            ptdf.matrix[0, 1] = 0.5
+        assert build_ptdf(network) is ptdf
+
+    def test_an_equal_network_gets_its_own_solve(self):
+        first, second = meshed_three_bus(), meshed_three_bus()
+        assert build_ptdf(first) is not build_ptdf(second)
+        assert (build_ptdf(first).matrix == build_ptdf(second).matrix).all()
+
+    @pytest.mark.parametrize("change", ["replace a line", "assign new lines", "move the slack"])
+    def test_a_changed_network_is_solved_again(self, change):
+        network = meshed_three_bus()
+        before = build_ptdf(network)
+        if change == "replace a line":
+            network.lines[2] = Line("1", "3", 0.05, 50.0)
+        elif change == "assign new lines":
+            network.lines = [*network.lines[:2], Line("1", "3", 0.05, 50.0)]
+        else:
+            network.slack_bus = "2"
+        fresh = Network(list(network.buses), list(network.lines), network.slack_bus)
+        after = build_ptdf(network)
+        assert after is not before
+        assert not (after.matrix == before.matrix).all()
+        assert (after.matrix == build_ptdf(fresh).matrix).all()
+        assert after.slack_bus == network.slack_bus
+        assert not after.matrix.flags.writeable
 
 
 class TestLineFlows:
@@ -178,11 +237,11 @@ class TestMaxTradableQuantity:
     def test_invalid_inputs(self, three_bus):
         network, dispatch = three_bus
         ptdf = build_ptdf(network)
-        with pytest.raises(ValueError):
+        with pytest.raises(MarketError, match="quantity_kw must be positive"):
             max_tradable_quantity(network, ptdf, dispatch, "2", "3", "down", 0.0)
         with pytest.raises(UnknownBusError):
             max_tradable_quantity(network, ptdf, dispatch, "2", "9", "down", 5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(MarketError, match="unknown direction 'sideways'"):
             max_tradable_quantity(network, ptdf, dispatch, "2", "3", "sideways", 5.0)
 
     def test_monotone_in_line_limits(self, three_bus):
