@@ -29,7 +29,7 @@ for label, row in zip(ptdf.line_labels, ptdf.matrix):
     print(f"{label:>6}" + "".join(f"{v:8.3f}" for v in row))
 
 flows = line_flows(ptdf, baseline)
-up_room, down_room = flow_rooms(flows, network.limit_vector())
+up_room, down_room = flow_rooms(flows, network.limits)
 print("\nBaseline flows and the room each line has left")
 rows = zip(network.lines, network.line_labels, flows, up_room, down_room)
 for line, label, flow, up, down in rows:
@@ -49,9 +49,7 @@ for request_bus, offer_bus, direction, wanted in [
     ("1", "3", "up", 30.0),  # this exchange reduces both flows
     ("2", "1", "up", 30.0),  # capped by the 20 kW of headroom on line 1-2
 ]:
-    allowed = max_tradable_quantity(
-        network, ptdf, baseline, request_bus, offer_bus, direction, wanted
-    )
+    allowed = max_tradable_quantity(network, baseline, request_bus, offer_bus, direction, wanted)
     print(
         f"  {direction:>4} request at bus {request_bus}, offer at bus {offer_bus}: "
         f"{allowed:4.1f} of {wanted:4.1f} kW"

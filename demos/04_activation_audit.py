@@ -17,7 +17,6 @@ from conftest import random_bid_stream, random_network  # noqa: E402
 from flexmarket import (  # noqa: E402
     FeasibilityPolicy,
     OrderBook,
-    build_ptdf,
     exchange_buses,
     max_tradable_quantity,
 )
@@ -44,11 +43,10 @@ print("\nRandom partial activations of single exchanges")
 violations = 0
 for _ in range(2000):
     network, dispatch = random_network(rng, max_buses=10)
-    ptdf = build_ptdf(network)
     request_bus, offer_bus = rng.choice(network.buses, size=2)
     direction = "up" if rng.random() < 0.5 else "down"
     allowed = max_tradable_quantity(
-        network, ptdf, dispatch, request_bus, offer_bus, direction, float(rng.uniform(1, 100))
+        network, dispatch, request_bus, offer_bus, direction, float(rng.uniform(1, 100))
     )
     inject, withdraw = exchange_buses(request_bus, offer_bus, direction)
     dispatch.apply_exchange(inject, withdraw, rng.uniform(0.0, allowed))

@@ -19,6 +19,7 @@ from typing import Optional
 import yaml
 
 from .errors import FlexMarketError, InputError, MarketError, NetworkError
+# build_ptdf is not called here, but bench/tracing.py wraps fileio.build_ptdf by name.
 from .grid import (
     QUANTITY_TOL,
     DispatchState,
@@ -63,6 +64,10 @@ POLICY_ALIASES = {
     "all": ALL_COMBINATIONS,
     "scenarios": SCENARIOS,
 }
+
+# The keys of a network file, where only the last may be left out, and of its lines.
+_NETWORK_KEYS = ("buses", "slack_bus", "lines", "injection_kw")
+_LINE_KEYS = ("from_bus", "to_bus", "reactance", "limit_kw")
 
 _BID_FIELDS = {
     "id",
@@ -125,9 +130,12 @@ class ReplayResult:
 def _number(value, where: str, kind=float):
     """``value`` as a finite ``float``, or a whole ``int``; otherwise an InputError.
 
-    A string is not a number here, even one that holds a number.
+    A string is not a number here, even one that holds a number, and
+    neither is a boolean.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
         finite = math.isfinite(value)  # a TypeError for a string, as for any non-number
     except TypeError:
         raise InputError(f"{where}: expected a number, got {value!r}") from None
@@ -151,16 +159,13 @@ def load_network(path, require_feasible: bool = True):
     Missing non-slack entries default to zero. Unless disabled, the
     baseline must violate no line limit.
     """
-    try:
-        with open(path) as handle:
-            data = yaml.load(handle, Loader=_YAML_LOADER)
-    except OSError as exc:
-        raise InputError(f"cannot read network file: {exc}") from None
-    except (yaml.YAMLError, ValueError) as exc:
-        raise InputError(f"{path}: invalid YAML: {exc}") from None
+    data = _read_yaml(path, "network")
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a mapping at the top level")
-    for key in ("buses", "slack_bus", "lines"):
+    unknown = set(data) - set(_NETWORK_KEYS)
+    if unknown:
+        raise InputError(f"{path}: unknown fields {sorted(map(str, unknown))}")
+    for key in _NETWORK_KEYS[:-1]:
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
     for key, kind, name in (
@@ -177,7 +182,10 @@ def load_network(path, require_feasible: bool = True):
     for i, raw in enumerate(data["lines"]):
         if not isinstance(raw, dict):
             raise InputError(f"{path}: line #{i + 1} is not a mapping")
-        missing = {"from_bus", "to_bus", "reactance", "limit_kw"} - set(raw)
+        unknown = set(raw) - set(_LINE_KEYS)
+        if unknown:
+            raise InputError(f"{path}: line #{i + 1} unknown fields {sorted(map(str, unknown))}")
+        missing = set(_LINE_KEYS) - set(raw)
         if missing:
             raise InputError(f"{path}: line #{i + 1} missing {sorted(missing)}")
         lines.append(
@@ -210,20 +218,28 @@ def load_network(path, require_feasible: bool = True):
     dispatch = DispatchState(injection_kw=injections)
 
     if require_feasible:
-        check_baseline(network, build_ptdf(network), dispatch)
+        check_baseline(network, dispatch)
     return network, dispatch
 
 
-def load_bids(path) -> list:
-    """Read a bid stream: one JSON record per line, in arrival order."""
+def _read_yaml(path, what: str):
+    """The parsed contents of a YAML file; ``what`` names the file in errors."""
+    try:
+        with open(path) as handle:
+            return yaml.load(handle, Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from None
+    except (yaml.YAMLError, ValueError) as exc:
+        raise InputError(f"{path}: invalid YAML: {exc}") from None
+
+
+def _json_lines(path, what: str):
+    """``(line number, record)`` per non-blank line; ``what`` names the file in errors."""
     try:
         with open(path) as handle:
             raw_lines = handle.readlines()
     except (OSError, ValueError) as exc:  # ValueError: the text does not decode
-        raise InputError(f"cannot read bids file: {exc}") from None
-
-    bids = []
-    seen = set()
+        raise InputError(f"cannot read {what}: {exc}") from None
     for lineno, raw in enumerate(raw_lines, start=1):
         if not raw.strip():
             continue
@@ -231,6 +247,14 @@ def load_bids(path) -> list:
             record = json.loads(raw)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        yield lineno, record
+
+
+def load_bids(path) -> list:
+    """Read a bid stream: one JSON record per line, in arrival order."""
+    bids = []
+    seen = set()
+    for lineno, record in _json_lines(path, "bids file"):
         if not isinstance(record, dict):
             raise InputError(f"{path}:{lineno}: expected a JSON object")
         extra = set(record) - _BID_FIELDS
@@ -261,13 +285,7 @@ def load_bids(path) -> list:
 
 def load_scenarios(path) -> tuple:
     """Read activation scenarios: a YAML list of lists of match ids."""
-    try:
-        with open(path) as handle:
-            data = yaml.load(handle, Loader=_YAML_LOADER)
-    except OSError as exc:
-        raise InputError(f"cannot read scenarios file: {exc}") from None
-    except (yaml.YAMLError, ValueError) as exc:
-        raise InputError(f"{path}: invalid YAML: {exc}") from None
+    data = _read_yaml(path, "scenarios")
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a non-empty list of scenarios")
     scenarios = []
@@ -369,18 +387,7 @@ def read_trade_log(path) -> list:
     naming the line.
     """
     entries = []
-    try:
-        with open(path) as handle:
-            raw_lines = handle.readlines()
-    except (OSError, ValueError) as exc:  # ValueError: the text does not decode
-        raise InputError(f"cannot read trade log: {exc}") from None
-    for lineno, raw in enumerate(raw_lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+    for lineno, record in _json_lines(path, "trade log"):
         record = _checked(record, _TRADE_FIELDS, f"{path}:{lineno}")
         record["binding_lines"] = tuple(record["binding_lines"])
         entries.append(TradeLogEntry(**{key: record[key] for key in _TRADE_FIELDS}))

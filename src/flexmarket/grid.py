@@ -9,10 +9,10 @@ to a bus-to-bus exchange, each line's room for a flow rise and a flow
 fall, the per-line cap those rooms put on an exchange, and the largest
 exchange quantity that keeps all lines within their limits.
 
-All functions here are pure apart from :func:`build_ptdf`, which
-solves each network's PTDF once and keeps it on the network;
-:class:`PtdfMatrix` is write-locked after construction and safe to share
-between threads and order books.
+A :class:`Network` cannot change once built. All functions here are pure
+apart from :func:`build_ptdf`, which keeps each network's PTDF on it
+after the first solve; :class:`PtdfMatrix` is write-locked, so a network
+and its matrix are safe to share between threads and order books.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class Line:
             raise NetworkError(f"line {self.from_bus}-{self.to_bus} is a self-loop")
         for name in ("reactance", "limit_kw"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
+            # A bool is a numbers.Real, but no reactance or limit.
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
                 raise NetworkError(f"line {self.label}: {name} must be a number > 0")
 
     @property
@@ -62,18 +63,25 @@ class Line:
         return f"{self.from_bus}-{self.to_bus}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
-    """Buses, lines and the slack bus of a radial or meshed grid."""
+    """Buses, lines and the slack bus of a radial or meshed grid; immutable.
 
-    buses: list
-    lines: list
+    ``line_labels`` and the write-locked ``limits`` (kW) follow the order
+    of ``lines``, as the rows of the network's PTDF do.
+    """
+
+    buses: tuple
+    lines: tuple
     slack_bus: Hashable
     line_labels: tuple = field(init=False, repr=False)
-    # (key, PtdfMatrix) of the last build_ptdf on this network; see there.
-    _ptdf: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    limits: np.ndarray = field(init=False, compare=False, repr=False)
+    # The PtdfMatrix, once build_ptdf has solved it.
+    _ptdf: Optional[PtdfMatrix] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "buses", tuple(self.buses))
+        object.__setattr__(self, "lines", tuple(self.lines))
         if len(set(self.buses)) != len(self.buses):
             raise NetworkError("duplicate bus ids")
         if not self.lines:
@@ -91,7 +99,10 @@ class Network:
             base = line.label
             seen[base] = seen.get(base, 0) + 1
             labels.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
-        self.line_labels = tuple(labels)
+        limits = np.array([line.limit_kw for line in self.lines], dtype=float)
+        limits.setflags(write=False)
+        object.__setattr__(self, "line_labels", tuple(labels))
+        object.__setattr__(self, "limits", limits)
 
     def _check_connected(self) -> None:
         adjacency: dict = {b: [] for b in self.buses}
@@ -109,9 +120,6 @@ class Network:
         missing = [b for b in self.buses if b not in reached]
         if missing:
             raise NetworkError(f"network is disconnected; unreachable buses: {missing}")
-
-    def limit_vector(self) -> np.ndarray:
-        return np.array([line.limit_kw for line in self.lines], dtype=float)
 
 
 @dataclass
@@ -179,19 +187,16 @@ class PtdfMatrix:
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
-    """The PTDF matrix of a network, solved once per network.
+    """The PTDF matrix of a network, solved on the first call and kept on it.
 
-    Later calls on the same network return the same write-locked
-    :class:`PtdfMatrix`, so the book, the loaders and the CLI share one
-    solve. The matrix is kept on the network with the buses, lines and
-    slack bus it was solved from, and is solved again once any of them
-    is replaced. Raises :class:`NetworkError` for a singular system or a
-    non-finite entry, as a subnormal reactance gives.
+    Later calls return the same write-locked :class:`PtdfMatrix`, so the
+    book, the loaders and the CLI share one solve. Raises
+    :class:`NetworkError` for a singular system or a non-finite entry, as
+    a subnormal reactance gives.
     """
-    key = (tuple(network.buses), tuple(network.lines), network.slack_bus)
-    if network._ptdf is None or network._ptdf[0] != key:
-        network._ptdf = (key, _solve_ptdf(network))
-    return network._ptdf[1]
+    if network._ptdf is None:
+        object.__setattr__(network, "_ptdf", _solve_ptdf(network))
+    return network._ptdf
 
 
 def _solve_ptdf(network: Network) -> PtdfMatrix:
@@ -202,7 +207,7 @@ def _solve_ptdf(network: Network) -> PtdfMatrix:
     convention follows the line orientation: a positive entry means an
     injection at that bus pushes flow from ``from_bus`` toward ``to_bus``.
     """
-    buses = list(network.buses)
+    buses = network.buses
     n, n_lines = len(buses), len(network.lines)
     pos = {b: i for i, b in enumerate(buses)}
 
@@ -232,7 +237,7 @@ def _solve_ptdf(network: Network) -> PtdfMatrix:
     matrix.setflags(write=False)
     return PtdfMatrix(
         matrix=matrix,
-        buses=tuple(buses),
+        buses=buses,
         line_labels=network.line_labels,
         slack_bus=network.slack_bus,
     )
@@ -309,7 +314,6 @@ def admissible_quantity(line_caps: np.ndarray, quantity_kw: float) -> float:
 
 def max_tradable_quantity(
     network: Network,
-    ptdf: PtdfMatrix,
     dispatch: DispatchState,
     request_bus,
     offer_bus,
@@ -327,15 +331,16 @@ def max_tradable_quantity(
     if not quantity_kw > 0:
         raise MarketError("quantity_kw must be positive")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
+    ptdf = build_ptdf(network)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)
-    rooms = flow_rooms(line_flows(ptdf, dispatch), network.limit_vector())
+    rooms = flow_rooms(line_flows(ptdf, dispatch), network.limits)
     return admissible_quantity(quantity_caps(alpha, *rooms), quantity_kw)
 
 
-def check_baseline(network: Network, ptdf: PtdfMatrix, dispatch: DispatchState) -> np.ndarray:
+def check_baseline(network: Network, dispatch: DispatchState) -> np.ndarray:
     """Validate that a dispatch violates no line limit; return its flows."""
-    flows = line_flows(ptdf, dispatch)
-    overload = np.abs(flows) - network.limit_vector()
+    flows = line_flows(build_ptdf(network), dispatch)
+    overload = np.abs(flows) - network.limits
     worst = int(np.argmax(overload))
     if overload[worst] > QUANTITY_TOL:
         raise InfeasibleBaselineError(

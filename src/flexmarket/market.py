@@ -136,6 +136,8 @@ class Bid:
         if self.direction not in (UP, DOWN):
             raise MarketError(f"bid {self.id}: unknown direction {self.direction!r}")
         try:
+            if bool in (type(self.quantity_kw), type(self.price_eur_per_kw)):
+                raise TypeError("a bool is not a quantity or a price")
             if not (math.isfinite(self.quantity_kw) and self.quantity_kw > 0):
                 raise MarketError(f"bid {self.id}: quantity_kw must be finite and > 0")
             if not (math.isfinite(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
@@ -220,9 +222,8 @@ class OrderBook:
         self.order = order
 
         self.ptdf = build_ptdf(network)
-        self._limits = network.limit_vector()
         self.baseline = baseline.copy()
-        self._flows = check_baseline(network, self.ptdf, self.baseline)
+        self._flows = check_baseline(network, self.baseline)
 
         self.requests: list = []
         self.offers: list = []
@@ -529,7 +530,7 @@ class OrderBook:
     def _apply_to_baseline(self, record: MatchRecord) -> None:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
         # The match was capped to fit, so this must hold; a failure here is a bug.
-        self._flows = check_baseline(self.network, self.ptdf, self.baseline)
+        self._flows = check_baseline(self.network, self.baseline)
         self._rooms.clear()
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
@@ -572,7 +573,8 @@ class OrderBook:
         key = self.policy.variant == CUMULATIVE and conditionality == UNCONDITIONAL
         rooms = self._rooms.get(key)
         if rooms is None:
-            rooms = self._rooms[key] = flow_rooms(self._flow_stack(conditionality), self._limits)
+            stack = self._flow_stack(conditionality)
+            rooms = self._rooms[key] = flow_rooms(stack, self.network.limits)
         return rooms
 
     def _evaluate_candidate(

@@ -254,14 +254,25 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, text",
+    "section, text, message",
     [
-        ("injection_kw", "injection_kw: [1, 2]\n"),
-        ("buses", "buses: 5\n"),
-        ("lines", "lines: 7\n"),
+        ("injection_kw", "injection_kw: [1, 2]\n", "injection_kw must be"),
+        ("buses", "buses: 5\n", "buses must be"),
+        ("lines", "lines: 7\n", "lines must be"),
+        ("injections_kw", "injections_kw: {2: -5}\n", "unknown fields ['injections_kw']"),
+        (
+            "lines",
+            "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
+            "line #1 unknown fields ['limt']",
+        ),
+        (
+            "lines",
+            "lines:\n  - {from_bus: 1, to_bus: 2, reactance: true, limit_kw: 5}\n",
+            "line #1 reactance: expected a number, got True",
+        ),
     ],
 )
-def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section, text):
+def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section, text, message):
     sections = {
         "buses": "buses: [1, 2]\n",
         "slack_bus": "slack_bus: 1\n",
@@ -272,5 +283,5 @@ def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section
     path.write_text("".join(sections.values()))
     assert main(["check", "--network", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{section} must be" in err
+    assert message in err
     assert "Traceback" not in err

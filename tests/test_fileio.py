@@ -48,7 +48,7 @@ def write_three_bus(tmp_path, limit=20, injections="  1: 40\n  2: -20\n  3: -20"
 class TestLoadNetwork:
     def test_bundled_three_bus(self):
         network, baseline = load_network(DATA / "three_bus.yaml")
-        assert network.buses == ["1", "2", "3"]
+        assert network.buses == ("1", "2", "3")
         assert line_flows(build_ptdf(network), baseline) == pytest.approx([40.0, 20.0])
 
     def test_infeasible_baseline_names_the_line(self, tmp_path):
@@ -91,15 +91,16 @@ class TestLoadNetwork:
         with pytest.raises(InputError):
             load_network(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("bad", ["abc", "true"])
     @pytest.mark.parametrize("field, value", [("reactance", "0.1"), ("limit_kw", "60")])
-    def test_non_numeric_line_field_is_an_input_error(self, tmp_path, field, value):
+    def test_non_numeric_line_field_is_an_input_error(self, tmp_path, field, value, bad):
         path = write_three_bus(tmp_path)
-        path.write_text(path.read_text().replace(f"{field}: {value}", f"{field}: abc", 1))
+        path.write_text(path.read_text().replace(f"{field}: {value}", f"{field}: {bad}", 1))
         with pytest.raises(InputError, match=f"line #1 {field}: expected a number"):
             load_network(path)
 
     # PyYAML reads 1.0e3 as a string: YAML 1.1 wants a signed exponent.
-    @pytest.mark.parametrize("value", ["abc", ".nan", "[1]", '"-20"', "1.0e3"])
+    @pytest.mark.parametrize("value", ["abc", ".nan", "[1]", '"-20"', "1.0e3", "false"])
     def test_bad_injection_is_an_input_error(self, tmp_path, value):
         path = write_three_bus(tmp_path, injections=f"  2: {value}\n  3: -20")
         with pytest.raises(InputError, match="injection_kw of bus 2"):
@@ -174,6 +175,15 @@ class TestYamlLoaderFallback:
             ("lines: {a: 1}\n  - b\n", "invalid YAML"),
             ("- 1\n- 2\n", "expected a mapping at the top level"),
             ("just text\n", "expected a mapping at the top level"),
+            (
+                "buses: [1, 2]\nslack_bus: 1\nlines: []\ninjections_kw: {2: -5}\n",
+                r"unknown fields \['injections_kw'\]",
+            ),
+            (
+                "buses: [1, 2]\nslack_bus: 1\n"
+                "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
+                r"line #1 unknown fields \['limt'\]",
+            ),
         ],
     )
     def test_bad_files_fail_alike(self, tmp_path, monkeypatch, text, message):
@@ -257,6 +267,8 @@ class TestLoadBids:
             ("price_eur_per_kw", "Infinity"),
             ("price_eur_per_kw", "null"),
             ("quantity_kw", '"5"'),
+            ("quantity_kw", "true"),
+            ("price_eur_per_kw", "false"),
         ],
     )
     def test_bad_number_is_an_input_error(self, tmp_path, field, value):
@@ -359,6 +371,8 @@ class TestTradeLogRoundTrip:
             ("binding_lines", "2-3", "binding_lines is not a list"),
             ("offer_id", 5, "offer_id is not a str"),
             ("price_eur_per_kw", "0.04", "price_eur_per_kw: expected a number"),
+            ("quantity_kw", True, "quantity_kw: expected a number, got True"),
+            ("round", False, "round: expected a number, got False"),
         ],
     )
     def test_mistyped_field_is_an_input_error(self, tmp_path, field, value, message):
@@ -432,6 +446,11 @@ class TestBookRoundTrip:
             (lambda d: d["accepted_matches"][0].pop("quantity_kw"), r"accepted_matches\[0\]"),
             (lambda d: d.update(round="late"), "round: expected a number"),
             (lambda d: d.update(round=1.5), "round: expected an integer, got 1.5"),
+            (lambda d: d.update(match_counter=True), "match_counter: expected a number, got True"),
+            (
+                lambda d: d["offers"][0].update(price_eur_per_kw=False),
+                r"offers\[0\]: price_eur_per_kw: expected a number, got False",
+            ),
             (
                 lambda d: d["offers"][0].update(sequence=2.5),
                 r"offers\[0\]: sequence: expected an integer",

@@ -101,7 +101,8 @@ class TestBidValidation:
             request("r", "up", "1", 10, price)
 
     @pytest.mark.parametrize(
-        "quantity, price", [("5", 0.05), (5.0, None), (10 ** 400, 0.05), (5.0, [1])]
+        "quantity, price",
+        [("5", 0.05), (5.0, None), (10 ** 400, 0.05), (5.0, [1]), (True, 0.05), (5.0, False)],
     )
     def test_a_non_number_is_a_market_error(self, quantity, price):
         with pytest.raises(MarketError, match="bid o: quantity_kw and price_eur_per_kw must be"):
