@@ -9,11 +9,14 @@ on load.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 import yaml
@@ -250,8 +253,21 @@ def _json_lines(path, what: str):
         yield lineno, record
 
 
+def _label(value, field: str) -> str:
+    """A bid's id or bus as a string: a JSON string, or an integer written as one."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # the type of true and false is bool, so both are refused
+        return str(value)
+    raise InputError(f"{field} must be a string or an integer, got {value!r}")
+
+
 def load_bids(path) -> list:
-    """Read a bid stream: one JSON record per line, in arrival order."""
+    """Read a bid stream: one JSON record per line, in arrival order.
+
+    Ids and buses are strings or integers, each kept as a string; every
+    bid on a bus shares one interned string for it.
+    """
     bids = []
     seen = set()
     for lineno, record in _json_lines(path, "bids file"):
@@ -265,10 +281,10 @@ def load_bids(path) -> list:
             raise InputError(f"{path}:{lineno}: missing fields {sorted(missing)}")
         try:
             bid = Bid(
-                id=str(record["id"]),
+                id=_label(record["id"], "id"),
                 side=record["side"],
                 direction=record["direction"],
-                bus=str(record["bus"]),
+                bus=sys.intern(_label(record["bus"], "bus")),
                 quantity_kw=_number(record["quantity_kw"], "quantity_kw"),
                 price_eur_per_kw=_number(record["price_eur_per_kw"], "price_eur_per_kw"),
                 conditionality=record.get("conditionality"),
@@ -418,8 +434,84 @@ def dump_book(book: OrderBook) -> dict:
     }
 
 
+def _object_template(keys, indent: int) -> str:
+    """A ``%`` template of one JSON object with ``keys``, as ``json.dumps(indent=2)`` nests it.
+
+    ``indent`` is the object's own indentation; each ``%s`` takes one
+    formatted value, in the order of ``keys``.
+    """
+    pad = " " * indent
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(key)}: %s" for key in keys)
+    return f"{pad}{{\n{fields}\n{pad}}}"
+
+
+def _json_block(items: list, brackets: str) -> str:
+    """A top-level list or object of the dump, from its rendered items, as ``json.dumps`` writes it.
+
+    ``brackets`` is ``"[]"`` or ``"{}"``; an empty one is written as just those.
+    """
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}"
+
+
+# The dump's keys, and those of its bids and matches, in the sorted order json.dumps writes.
+_BOOK_KEYS = tuple(sorted(_DUMP_FIELDS))
+_BOOK_TEMPLATE = _object_template(_BOOK_KEYS, 0)
+_BID_KEYS = tuple(sorted(_DUMP_BID_KEYS))
+_bid_values = attrgetter(*_BID_KEYS)
+_MATCH_TEMPLATE = _object_template(sorted(_DUMP_MATCH_FIELDS), 4)
+_match_values = attrgetter(*sorted(_DUMP_MATCH_FIELDS))
+
+
+@functools.cache
+def _bid_template(keys: tuple) -> str:
+    """The template of a dumped bid whose non-``None`` fields are ``keys``.
+
+    A request has every field and an offer all but its conditionality;
+    another shape is built the first time a bid of it is dumped.
+    """
+    return _object_template(keys, 4)
+
+
+def _bid_record(bid: Bid) -> str:
+    values = _bid_values(bid)
+    keys = _BID_KEYS
+    if None in values:
+        keys = tuple(key for key, value in zip(keys, values) if value is not None)
+        values = [value for value in values if value is not None]
+    return _bid_template(keys) % tuple(map(_json_value, values))
+
+
 def book_json(book: OrderBook) -> str:
-    return json.dumps(dump_book(book), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(dump_book(book), sort_keys=True, indent=2)`` and a newline, byte for byte.
+
+    That is ASCII only, keys sorted, a two-space indent and one trailing
+    newline. The text is written from a ``%`` template per record shape,
+    each value formatted by :func:`_json_value`, so no dump dict is built
+    and the pure-Python encoder that ``indent`` selects never runs.
+    """
+    state = book.snapshot()
+    value = _json_value
+    injections = {str(b): v for b, v in sorted(book.baseline.injection_kw.items())}
+    parts = {
+        **{key: value(state[key]) for key in _DUMP_COUNTERS},
+        "injection_kw": _json_block(
+            [f"    {value(bus)}: {value(kw)}" for bus, kw in sorted(injections.items())], "{}"
+        ),
+        "requests": _json_block(
+            [_bid_record(b) for b in state["resting"] if b.side == REQUEST], "[]"
+        ),
+        "offers": _json_block([_bid_record(b) for b in state["resting"] if b.side == OFFER], "[]"),
+        "accepted_matches": _json_block(
+            [_MATCH_TEMPLATE % tuple(map(value, _match_values(r))) for r in state["accepted"]],
+            "[]",
+        ),
+        "seen_ids": _json_block(
+            ["    " + text for text in map(value, sorted(state["seen_ids"]))], "[]"
+        ),
+    }
+    return _BOOK_TEMPLATE % tuple(parts[key] for key in _BOOK_KEYS) + "\n"
 
 
 def _dumped_number(value, where: str, kind=float):
@@ -479,6 +571,9 @@ def read_book_dump(path) -> dict:
         data[key] = [
             _checked(raw, fields, f"{path}: {key}[{i}]") for i, raw in enumerate(data[key])
         ]
+    for i, bid_id in enumerate(data["seen_ids"]):
+        if not isinstance(bid_id, str):
+            raise InputError(f"{path}: seen_ids[{i}] is not a str")
     return data
 
 
@@ -496,7 +591,7 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
         book = new_book(network, DispatchState(data["injection_kw"]), config)
         book.restore(
             **{key: data[key] for key in _DUMP_COUNTERS},
-            seen_ids=map(str, data["seen_ids"]),
+            seen_ids=data["seen_ids"],
             resting=[
                 Bid(**{key: raw.get(key) for key in _DUMP_BID_KEYS})
                 for raw in data["requests"] + data["offers"]

@@ -108,14 +108,16 @@ class FeasibilityPolicy:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Bid:
     """A flexibility offer or request resting in (or entering) the book.
 
     ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
-    index assigned on submission and is the sole tie-breaker.
+    index assigned on submission and is the sole tie-breaker. A bid
+    keeps this module's own strings for its side, direction and
+    conditionality, so a book of many bids holds one copy of each.
     """
 
     id: str
@@ -153,11 +155,17 @@ class Bid:
                 )
         elif self.conditionality is not None:
             raise MarketError(f"offer {self.id} must not carry a conditionality")
+        self.side = OFFER if self.side == OFFER else REQUEST
+        self.direction = UP if self.direction == UP else DOWN
+        if self.conditionality is not None:
+            self.conditionality = (
+                CONDITIONAL if self.conditionality == CONDITIONAL else UNCONDITIONAL
+            )
         if self.original_quantity_kw is None:
             self.original_quantity_kw = self.quantity_kw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     """A cleared (offer, request) pair; the unit of combination checking.
 

@@ -285,3 +285,47 @@ def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+OFFER_RECORD = {"id": "o1", "side": "offer", "direction": "up", "bus": "2",
+                "quantity_kw": 5, "price_eur_per_kw": 0.1}
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("id", None, "None"),
+        ("id", [1], "[1]"),
+        ("id", True, "True"),
+        ("id", 1.5, "1.5"),
+        ("bus", None, "None"),
+        ("bus", {"x": 1}, "{'x': 1}"),
+        ("bus", 2.0, "2.0"),
+    ],
+)
+def test_run_refuses_an_id_or_bus_that_is_not_a_string_or_an_integer(
+    tmp_path, capsys, field, value, shown
+):
+    bids = tmp_path / "bids.jsonl"
+    bad = {**OFFER_RECORD, "id": "o2", field: value}
+    bids.write_text(json.dumps(OFFER_RECORD) + "\n" + json.dumps(bad) + "\n")
+    code = main(["run", "--network", str(DATA / "three_bus.yaml"), "--bids", str(bids)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"bids.jsonl:2: {field} must be a string or an integer, got {shown}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [None, {"x": 1}, 3.5, 7])
+def test_book_refuses_a_seen_id_that_is_not_a_string(tmp_path, capsys, entry):
+    out = tmp_path / "out"
+    args = ["run", "--network", str(DATA / "three_bus.yaml")]
+    assert main(args + ["--bids", str(DATA / "bids_reevaluation.jsonl"), "--out", str(out)]) == 0
+    dump = json.loads((out / "book.json").read_text())
+    dump["seen_ids"][1] = entry
+    (out / "book.json").write_text(json.dumps(dump))
+    capsys.readouterr()
+    assert main(["book", "--book", str(out / "book.json")]) == 2
+    err = capsys.readouterr().err
+    assert "book.json: seen_ids[1] is not a str" in err
+    assert "Traceback" not in err

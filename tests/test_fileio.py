@@ -23,7 +23,7 @@ from flexmarket import (
     trade_log_lines,
     write_trade_log,
 )
-from flexmarket import fileio, grid
+from flexmarket import fileio, grid, market
 from flexmarket.grid import build_ptdf
 
 from conftest import DATA
@@ -206,6 +206,22 @@ class TestLoadBids:
         assert (first.quantity_kw, first.price_eur_per_kw) == (30.0, 0.042)
         assert first.conditionality == "unconditional"
         assert [b.sequence for b in bids] == list(range(1, 13))
+
+    def test_ids_and_buses_are_strings_and_labels_are_shared(self, tmp_path):
+        path = tmp_path / "bids.jsonl"
+        path.write_text(
+            '{"id": 7, "side": "offer", "direction": "up", "bus": 12, '
+            '"quantity_kw": 5, "price_eur_per_kw": 0.1}\n'
+            '{"id": "r", "side": "request", "direction": "up", "bus": "12", '
+            '"quantity_kw": 5, "price_eur_per_kw": 0.1, "conditionality": "conditional"}\n'
+        )
+        offer, request = load_bids(path)
+        assert (offer.id, offer.bus, request.bus) == ("7", "12", "12")
+        # One string per bus and per label, however many bids name it.
+        assert offer.bus is request.bus
+        assert offer.direction is request.direction is market.UP
+        assert offer.side is market.OFFER and request.side is market.REQUEST
+        assert request.conditionality is market.CONDITIONAL
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "bids.jsonl"

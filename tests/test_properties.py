@@ -31,6 +31,7 @@ from flexmarket import (
     TradeLogEntry,
     book_json,
     build_ptdf,
+    dump_book,
     flow_rooms,
     line_flows,
     load_bids,
@@ -45,16 +46,20 @@ from flexmarket import (
     write_trade_log,
 )
 from flexmarket.cli import main
-from flexmarket.grid import ALPHA_TOL
+from flexmarket.grid import ALPHA_TOL, DOWN, UP
 from flexmarket.market import (
     ALL_COMBINATIONS,
+    CONDITIONAL,
     ORDER_BEST_PRICE,
     ORDER_FIFO,
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
     OUTCOME_REJECTED_CONGESTION,
     POLICY_VARIANTS,
+    REQUEST,
     SCENARIOS,
+    SIDES,
+    UNCONDITIONAL,
 )
 from flexmarket.oracle import (
     dc_solve,
@@ -495,6 +500,75 @@ def test_trade_log_lines_match_json_dumps(entries):
         else:
             with pytest.raises(InputError, match="expected a (finite )?number"):
                 read_trade_log(path)
+
+
+# Quantities and prices a bid or match may hold: positive and finite, as
+# the book checks them, and ints, floats or numpy floats.
+book_numbers = st.one_of(
+    st.integers(1, 2 ** 53),
+    st.floats(min_value=1e-6, max_value=1e12),
+    st.floats(min_value=1e-6, max_value=1e12).map(np.float64),
+)
+
+
+@st.composite
+def dumped_books(draw):
+    """A book resumed through ``OrderBook.restore`` from drawn state, odd ids included.
+
+    Pools, accepted matches, ``seen_ids`` and the baseline may each be
+    empty, and a bid may hold ``None`` where a dump leaves a field out.
+    """
+    network, baseline = load_network(DATA / "three_bus.yaml")
+    book = OrderBook(network, baseline, FeasibilityPolicy(ALL_COMBINATIONS))
+    buses = st.sampled_from(network.buses)
+    resting = []
+    for sequence, bid_id in enumerate(draw(st.lists(log_ids, unique=True, max_size=6)), 1):
+        side = draw(st.sampled_from(SIDES))
+        bid = Bid(
+            bid_id,
+            side,
+            draw(st.sampled_from((UP, DOWN))),
+            draw(buses),
+            draw(book_numbers),
+            draw(book_numbers),
+            draw(st.sampled_from((CONDITIONAL, UNCONDITIONAL))) if side == REQUEST else None,
+            sequence,
+        )
+        bid.original_quantity_kw = draw(st.one_of(st.none(), book_numbers))
+        resting.append(bid)
+    accepted = [
+        MatchRecord(
+            f"x{match_id}",
+            draw(log_ids),
+            draw(log_ids),
+            draw(buses),
+            draw(buses),
+            draw(book_numbers),
+            draw(book_numbers),
+            CONDITIONAL,
+            draw(st.integers(0, 2 ** 40)),
+        )
+        for match_id in draw(st.lists(log_ids, unique=True, max_size=4))
+    ]
+    book.restore(
+        round=draw(st.integers(0, 2 ** 40)),
+        sequence=len(resting) + draw(st.integers(0, 2 ** 40)),
+        match_counter=draw(st.integers(0, 2 ** 40)),
+        seen_ids=draw(st.lists(log_ids, max_size=6)),
+        resting=resting,
+        accepted=accepted,
+    )
+    if draw(st.booleans()):  # a baseline holding every kind of number the writer may meet
+        book.baseline.injection_kw = draw(
+            st.dictionaries(log_ids, st.one_of(log_numbers, st.floats()), max_size=4)
+        )
+    return book
+
+
+@settings(max_examples=300, deadline=None)
+@given(dumped_books())
+def test_book_json_is_json_dumps_of_dump_book(book):
+    assert book_json(book) == json.dumps(dump_book(book), sort_keys=True, indent=2) + "\n"
 
 
 RESUME_STREAM_BIDS = 30
