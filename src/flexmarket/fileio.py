@@ -68,24 +68,19 @@ POLICY_ALIASES = {
     "scenarios": SCENARIOS,
 }
 
-# The keys of a network file, where only the last may be left out, and of its lines.
-_NETWORK_KEYS = ("buses", "slack_bus", "lines", "injection_kw")
-_LINE_KEYS = ("from_bus", "to_bus", "reactance", "limit_kw")
+# The fields each record kind may hold, with their types; see _checked. A field
+# typed None is converted by its loader. A network file may leave out its
+# injections, and only requests carry a conditionality.
+_NETWORK_FIELDS = dict(buses=list, slack_bus=None, lines=list, injection_kw=dict)
+_LINE_FIELDS = dict(from_bus=None, to_bus=None, reactance=None, limit_kw=None)
+_BID_FIELDS = dict(
+    id=None, side=None, direction=None, bus=None, quantity_kw=None, price_eur_per_kw=None,
+    conditionality=None,
+)
 
-_BID_FIELDS = {
-    "id",
-    "side",
-    "direction",
-    "bus",
-    "quantity_kw",
-    "price_eur_per_kw",
-    "conditionality",
-}
-# Only requests carry a conditionality.
-_REQUIRED_BID_FIELDS = _BID_FIELDS - {"conditionality"}
-
-# Required fields of a book dump and of its records, with their types. The
-# counters carry the names that OrderBook.snapshot and OrderBook.restore use.
+# The fields of a book dump and of its records. The counters carry the names
+# that OrderBook.snapshot and OrderBook.restore use, and a record's fields are
+# the names of its class's fields.
 _DUMP_COUNTERS = dict(round=int, sequence=int, match_counter=int)
 _DUMP_FIELDS = dict(
     _DUMP_COUNTERS, injection_kw=dict,
@@ -93,10 +88,8 @@ _DUMP_FIELDS = dict(
 )
 _DUMP_BID_FIELDS = dict(
     id=str, side=str, direction=str, bus=str, quantity_kw=float,
-    original_quantity_kw=float, price_eur_per_kw=float, sequence=int,
+    original_quantity_kw=float, price_eur_per_kw=float, sequence=int, conditionality=None,
 )
-# A dumped bid also names its conditionality if it has one: requests do, offers not.
-_DUMP_BID_KEYS = (*_DUMP_BID_FIELDS, "conditionality")
 _DUMP_MATCH_FIELDS = dict(
     match_id=str, offer_id=str, request_id=str, inject_bus=str, withdraw_bus=str,
     quantity_kw=float, price_eur_per_kw=float, conditionality=str, round=int,
@@ -154,6 +147,52 @@ def _number(value, where: str, kind=float):
     return int(number)
 
 
+def _dumped_number(value, where: str, kind=float):
+    """A number read back from a dump or trade log, as :func:`_number` checks it.
+
+    An integer stays an ``int`` even in a float field: the engine held
+    it as one and must write it as one again.
+    """
+    number = _number(value, where, kind)
+    return value if type(value) is int else number
+
+
+def _refusal(where: str, problem: str) -> InputError:
+    """An InputError for the record ``where`` names; if ``where`` is empty, the caller names it."""
+    return InputError(f"{where}: {problem}" if where else problem)
+
+
+def _checked(record, fields: dict, where: str, optional=()) -> None:
+    """Refuse ``record`` unless it is a mapping of the fields in ``fields``, well typed.
+
+    ``fields`` maps each field the record may hold to its type. Every
+    field not named in ``optional`` is required, and an optional one may
+    also be null. A field typed ``None`` is left to the loader, which
+    converts it; a numeric field is checked by :func:`_dumped_number` and
+    stored back in ``record`` as it converts it; any other typed field must
+    be an instance of its type. The message names ``where``.
+    """
+    if not isinstance(record, dict):
+        raise _refusal(where, "not a mapping")
+    keys = record.keys()
+    if not keys <= fields.keys():
+        raise _refusal(where, f"unknown fields {sorted(map(str, keys - fields.keys()))}")
+    if len(keys) < len(fields):
+        missing = (fields.keys() - keys).difference(optional)
+        if missing:
+            raise _refusal(where, f"missing {sorted(missing)}")
+    if not any(fields.values()):  # nothing typed: the bid and line tables
+        return
+    for key, kind in fields.items():
+        value = record.get(key)
+        if kind is None or (value is None and key in optional):
+            continue
+        if kind in (int, float):
+            record[key] = _dumped_number(value, f"{where}: {key}", kind)
+        elif not isinstance(value, kind):
+            raise _refusal(where, f"{key} is not a {kind.__name__}")
+
+
 def load_network(path, require_feasible: bool = True):
     """Read a network file; return the network and its slack-balanced baseline.
 
@@ -163,40 +202,19 @@ def load_network(path, require_feasible: bool = True):
     baseline must violate no line limit.
     """
     data = _read_yaml(path, "network")
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a mapping at the top level")
-    unknown = set(data) - set(_NETWORK_KEYS)
-    if unknown:
-        raise InputError(f"{path}: unknown fields {sorted(map(str, unknown))}")
-    for key in _NETWORK_KEYS[:-1]:
-        if key not in data:
-            raise InputError(f"{path}: missing key {key!r}")
-    for key, kind, name in (
-        ("buses", list, "a list"),
-        ("lines", list, "a list"),
-        ("injection_kw", (dict, type(None)), "a mapping of bus to kW"),
-    ):
-        if not isinstance(data.get(key), kind):
-            raise InputError(f"{path}: {key} must be {name}")
-
+    _checked(data, _NETWORK_FIELDS, str(path), optional=("injection_kw",))
     buses = [str(b) for b in data["buses"]]
     slack = str(data["slack_bus"])
     lines = []
     for i, raw in enumerate(data["lines"]):
-        if not isinstance(raw, dict):
-            raise InputError(f"{path}: line #{i + 1} is not a mapping")
-        unknown = set(raw) - set(_LINE_KEYS)
-        if unknown:
-            raise InputError(f"{path}: line #{i + 1} unknown fields {sorted(map(str, unknown))}")
-        missing = set(_LINE_KEYS) - set(raw)
-        if missing:
-            raise InputError(f"{path}: line #{i + 1} missing {sorted(missing)}")
+        where = f"{path}: line #{i + 1}"
+        _checked(raw, _LINE_FIELDS, where)
         lines.append(
             Line(
                 from_bus=str(raw["from_bus"]),
                 to_bus=str(raw["to_bus"]),
-                reactance=_number(raw["reactance"], f"{path}: line #{i + 1} reactance"),
-                limit_kw=_number(raw["limit_kw"], f"{path}: line #{i + 1} limit_kw"),
+                reactance=_number(raw["reactance"], f"{where} reactance"),
+                limit_kw=_number(raw["limit_kw"], f"{where} limit_kw"),
             )
         )
     network = Network(buses=buses, lines=lines, slack_bus=slack)
@@ -266,20 +284,14 @@ def load_bids(path) -> list:
     """Read a bid stream: one JSON record per line, in arrival order.
 
     Ids and buses are strings or integers, each kept as a string; every
-    bid on a bus shares one interned string for it.
+    bid on a bus shares one interned string for it. The bids are not
+    numbered: the book numbers each one as it arrives.
     """
     bids = []
     seen = set()
     for lineno, record in _json_lines(path, "bids file"):
-        if not isinstance(record, dict):
-            raise InputError(f"{path}:{lineno}: expected a JSON object")
-        extra = set(record) - _BID_FIELDS
-        if extra:
-            raise InputError(f"{path}:{lineno}: unknown fields {sorted(extra)}")
-        missing = _REQUIRED_BID_FIELDS - set(record)
-        if missing:
-            raise InputError(f"{path}:{lineno}: missing fields {sorted(missing)}")
         try:
+            _checked(record, _BID_FIELDS, "", optional=("conditionality",))
             bid = Bid(
                 id=_label(record["id"], "id"),
                 side=record["side"],
@@ -288,7 +300,6 @@ def load_bids(path) -> list:
                 quantity_kw=_number(record["quantity_kw"], "quantity_kw"),
                 price_eur_per_kw=_number(record["price_eur_per_kw"], "price_eur_per_kw"),
                 conditionality=record.get("conditionality"),
-                sequence=len(bids) + 1,
             )
         except (InputError, MarketError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
@@ -397,16 +408,16 @@ def write_trade_log(entries, path) -> None:
 def read_trade_log(path) -> list:
     """Read a trade log written by :func:`write_trade_log`.
 
-    A line that is not a JSON record holding every field of
-    ``_TRADE_FIELDS`` with its type, a finite quantity and price, a
+    A line that is not a JSON record holding exactly the fields of
+    ``_TRADE_FIELDS``, each with its type, a finite quantity and price, a
     whole round and a list of binding lines, raises :class:`InputError`
     naming the line.
     """
     entries = []
     for lineno, record in _json_lines(path, "trade log"):
-        record = _checked(record, _TRADE_FIELDS, f"{path}:{lineno}")
+        _checked(record, _TRADE_FIELDS, f"{path}:{lineno}")
         record["binding_lines"] = tuple(record["binding_lines"])
-        entries.append(TradeLogEntry(**{key: record[key] for key in _TRADE_FIELDS}))
+        entries.append(TradeLogEntry(**record))
     return entries
 
 
@@ -415,7 +426,7 @@ def read_trade_log(path) -> list:
 
 
 def _bid_dict(bid: Bid) -> dict:
-    return {key: value for key in _DUMP_BID_KEYS if (value := getattr(bid, key)) is not None}
+    return {key: value for key in _DUMP_BID_FIELDS if (value := getattr(bid, key)) is not None}
 
 
 def _match_dict(record: MatchRecord) -> dict:
@@ -458,7 +469,7 @@ def _json_block(items: list, brackets: str) -> str:
 # The dump's keys, and those of its bids and matches, in the sorted order json.dumps writes.
 _BOOK_KEYS = tuple(sorted(_DUMP_FIELDS))
 _BOOK_TEMPLATE = _object_template(_BOOK_KEYS, 0)
-_BID_KEYS = tuple(sorted(_DUMP_BID_KEYS))
+_BID_KEYS = tuple(sorted(_DUMP_BID_FIELDS))
 _bid_values = attrgetter(*_BID_KEYS)
 _MATCH_TEMPLATE = _object_template(sorted(_DUMP_MATCH_FIELDS), 4)
 _match_values = attrgetter(*sorted(_DUMP_MATCH_FIELDS))
@@ -514,35 +525,6 @@ def book_json(book: OrderBook) -> str:
     return _BOOK_TEMPLATE % tuple(parts[key] for key in _BOOK_KEYS) + "\n"
 
 
-def _dumped_number(value, where: str, kind=float):
-    """A number read back from a dump or trade log, as :func:`_number` checks it.
-
-    An integer stays an ``int`` even in a float field: the engine held
-    it as one and must write it as one again.
-    """
-    number = _number(value, where, kind)
-    return value if type(value) is int else number
-
-
-def _checked(record, fields: dict, where: str) -> dict:
-    """A copy of ``record`` whose required fields are present and typed.
-
-    Numeric fields are converted by :func:`_dumped_number`.
-    """
-    if not isinstance(record, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    missing = set(fields) - set(record)
-    if missing:
-        raise InputError(f"{where}: missing {sorted(missing)}")
-    out = dict(record)
-    for key, kind in fields.items():
-        if kind in (int, float):
-            out[key] = _dumped_number(record[key], f"{where}: {key}", kind)
-        elif not isinstance(record[key], kind):
-            raise InputError(f"{where}: {key} is not a {kind.__name__}")
-    return out
-
-
 def read_book_dump(path) -> dict:
     """Read and check a dump written by :func:`book_json`.
 
@@ -558,19 +540,18 @@ def read_book_dump(path) -> dict:
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
-    data = _checked(data, _DUMP_FIELDS, str(path))
+    _checked(data, _DUMP_FIELDS, str(path))
     data["injection_kw"] = {
         str(bus): _dumped_number(value, f"{path}: injection_kw of bus {bus}")
         for bus, value in data["injection_kw"].items()
     }
-    for key, fields in (
-        ("requests", _DUMP_BID_FIELDS),
-        ("offers", _DUMP_BID_FIELDS),
-        ("accepted_matches", _DUMP_MATCH_FIELDS),
+    for key, fields, optional in (
+        ("requests", _DUMP_BID_FIELDS, ("conditionality",)),
+        ("offers", _DUMP_BID_FIELDS, ("conditionality",)),
+        ("accepted_matches", _DUMP_MATCH_FIELDS, ()),
     ):
-        data[key] = [
-            _checked(raw, fields, f"{path}: {key}[{i}]") for i, raw in enumerate(data[key])
-        ]
+        for i, raw in enumerate(data[key]):
+            _checked(raw, fields, f"{path}: {key}[{i}]", optional)
     for i, bid_id in enumerate(data["seen_ids"]):
         if not isinstance(bid_id, str):
             raise InputError(f"{path}: seen_ids[{i}] is not a str")
@@ -592,14 +573,8 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
         book.restore(
             **{key: data[key] for key in _DUMP_COUNTERS},
             seen_ids=data["seen_ids"],
-            resting=[
-                Bid(**{key: raw.get(key) for key in _DUMP_BID_KEYS})
-                for raw in data["requests"] + data["offers"]
-            ],
-            accepted=[
-                MatchRecord(**{key: raw[key] for key in _DUMP_MATCH_FIELDS})
-                for raw in data["accepted_matches"]
-            ],
+            resting=[Bid(**raw) for raw in data["requests"] + data["offers"]],
+            accepted=[MatchRecord(**raw) for raw in data["accepted_matches"]],
         )
     except (MarketError, NetworkError) as exc:
         raise InputError(f"{path}: {exc}") from None

@@ -166,7 +166,10 @@ class PtdfMatrix:
         object.__setattr__(self, "_positions", {b: i for i, b in enumerate(self.buses)})
 
     def __contains__(self, bus) -> bool:
-        return bus in self._positions
+        try:
+            return bus in self._positions
+        except TypeError:  # an unhashable bus, such as a list, names no bus
+            return False
 
     def bus_position(self, bus) -> int:
         try:

@@ -112,7 +112,8 @@ class FeasibilityPolicy:
 class Bid:
     """A flexibility offer or request resting in (or entering) the book.
 
-    ``quantity_kw`` is the remaining unmatched quantity and shrinks with
+    ``id`` is a non-empty string, so every bid can be dumped and read
+    back. ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
     index assigned on submission and is the sole tie-breaker. A bid
@@ -131,8 +132,8 @@ class Bid:
     original_quantity_kw: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise MarketError("bid id must be a non-empty string")
+        if not (isinstance(self.id, str) and self.id):
+            raise MarketError(f"bid id must be a non-empty string, got {self.id!r}")
         if self.side not in SIDES:
             raise MarketError(f"bid {self.id}: unknown side {self.side!r}")
         if self.direction not in (UP, DOWN):
@@ -270,10 +271,11 @@ class OrderBook:
         Returns every match the submission produced, including matches
         found while re-evaluating the book after an unconditional match
         shifted the baseline. Whatever quantity remains unmatched rests
-        in the book.
+        in the book. The book numbers the bid: it sets ``bid.sequence``
+        to the next arrival number, whatever the caller put there.
         """
         self._validate_bid(bid)
-        self._sequence = bid.sequence = self._next_sequence(bid)
+        self._sequence = bid.sequence = self._sequence + 1
         self._seen_ids.add(bid.id)
         self.round += 1
         (self.offers if bid.side == OFFER else self.requests).append(bid)
@@ -423,15 +425,6 @@ class OrderBook:
 
     # ------------------------------------------------------------------
     # matching internals
-
-    def _next_sequence(self, bid: Bid) -> int:
-        if bid.sequence < 0:
-            return self._sequence + 1
-        if bid.sequence <= self._sequence:
-            raise MarketError(
-                f"bid {bid.id}: sequence {bid.sequence} is not after {self._sequence}"
-            )
-        return bid.sequence
 
     def _validate_bid(self, bid: Bid) -> None:
         if bid.id in self._seen_ids:

@@ -72,24 +72,17 @@ def dc_solve(network: Network, dispatch: DispatchState) -> np.ndarray:
     )
 
 
-def flow_violations(
-    network: Network, flows: np.ndarray, tolerance_kw: float = QUANTITY_TOL
-) -> list:
-    """(line label, overload) pairs for every line beyond its limit."""
+def flow_violations(network: Network, flows: np.ndarray) -> list:
+    """(line label, overload) pairs for every line beyond its limit by more than QUANTITY_TOL."""
     out = []
     for label, line, flow in zip(network.line_labels, network.lines, flows):
         overload = abs(flow) - line.limit_kw
-        if overload > tolerance_kw:
+        if overload > QUANTITY_TOL:
             out.append((label, overload))
     return out
 
 
-def exhaustive_subset_check(
-    network: Network,
-    baseline: DispatchState,
-    matches: Sequence,
-    tolerance_kw: float = QUANTITY_TOL,
-) -> list:
+def exhaustive_subset_check(network: Network, baseline: DispatchState, matches: Sequence) -> list:
     """Audit every activation subset of the given matches.
 
     Each match needs ``match_id``, ``inject_bus``, ``withdraw_bus`` and
@@ -102,31 +95,12 @@ def exhaustive_subset_check(
         raise ValueError(f"{len(matches)} matches would need {2 ** len(matches)} subsets")
     reports = []
     for mask in range(2 ** len(matches)):
-        dispatch = baseline.copy()
-        subset_ids = []
-        for bit, record in enumerate(matches):
-            if mask >> bit & 1:
-                dispatch.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
-                subset_ids.append(record.match_id)
-        flows = dc_solve(network, dispatch)
-        violations = flow_violations(network, flows, tolerance_kw)
-        if violations:
-            reports.append(
-                OracleReport(
-                    subset=tuple(subset_ids),
-                    flows_kw=tuple(float(f) for f in flows),
-                    violations=tuple(violations),
-                )
-            )
+        subset = [record for bit, record in enumerate(matches) if mask >> bit & 1]
+        reports += _subset_reports(network, baseline, subset)
     return reports
 
 
-def worst_subset_check(
-    network: Network,
-    baseline: DispatchState,
-    matches: Sequence,
-    tolerance_kw: float = QUANTITY_TOL,
-) -> list:
+def worst_subset_check(network: Network, baseline: DispatchState, matches: Sequence) -> list:
     """Audit every activation subset by solving only the worst ones.
 
     Flows are linear in each activation, so a line's flow over all
@@ -150,17 +124,23 @@ def worst_subset_check(
             if key in solved:
                 continue
             solved.add(key)
-            flows = dc_solve(network, _activated(baseline, subset))
-            violations = flow_violations(network, flows, tolerance_kw)
-            if violations:
-                reports.append(
-                    OracleReport(
-                        subset=key,
-                        flows_kw=tuple(float(f) for f in flows),
-                        violations=tuple(violations),
-                    )
-                )
+            reports += _subset_reports(network, baseline, subset)
     return reports
+
+
+def _subset_reports(network: Network, baseline: DispatchState, subset: Sequence) -> list:
+    """The report of the baseline with ``subset`` activated, in a list; empty if none overloads."""
+    flows = dc_solve(network, _activated(baseline, subset))
+    violations = flow_violations(network, flows)
+    if not violations:
+        return []
+    return [
+        OracleReport(
+            subset=tuple(record.match_id for record in subset),
+            flows_kw=tuple(float(f) for f in flows),
+            violations=tuple(violations),
+        )
+    ]
 
 
 def _activated(baseline: DispatchState, matches: Sequence) -> DispatchState:

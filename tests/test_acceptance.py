@@ -67,7 +67,7 @@ def test_a1_individual_policy_admits_a_jointly_infeasible_pair():
     book = result.book
     assert [m.quantity_kw for m in book.accepted] == [10.0, 20.0]
 
-    reports = exhaustive_subset_check(book.network, book.baseline, book.accepted, TOLERANCE_KW)
+    reports = exhaustive_subset_check(book.network, book.baseline, book.accepted)
     assert len(reports) == 1
     assert set(reports[0].subset) == {m.match_id for m in book.accepted}
     ((line, overload),) = reports[0].violations
@@ -238,7 +238,7 @@ def test_a4_fifteen_bus_replay_reproduces_the_expected_rounds():
 
     # and the cleared state is activation-safe
     book = result.book
-    assert exhaustive_subset_check(book.network, book.baseline, book.accepted, TOLERANCE_KW) == []
+    assert exhaustive_subset_check(book.network, book.baseline, book.accepted) == []
     print(
         f"\nA4: PASS - 15-bus replay matches the expected log byte for byte and the "
         f"brute-force reference agrees ({elapsed:.3f}s)"
@@ -291,7 +291,7 @@ def test_a5_partial_activations_never_violate_limits():
             assert 0.0 <= allowed <= quantity
             inject, withdraw = exchange_buses(request_bus, offer_bus, direction)
             dispatch.apply_exchange(inject, withdraw, rng.uniform(0.0, allowed))
-            assert flow_violations(network, dc_solve(network, dispatch), TOLERANCE_KW) == []
+            assert flow_violations(network, dc_solve(network, dispatch)) == []
             trials += 1
     elapsed = time.perf_counter() - start
     print(f"\nA5: PASS - {trials} random partial activations, zero violations ({elapsed:.1f}s)")
@@ -311,7 +311,7 @@ def test_a6_all_combinations_clearing_is_activation_safe():
                 break
         if len(book.accepted) > 10:
             continue  # draw a fresh instance; the criterion wants at most ten
-        assert exhaustive_subset_check(network, book.baseline, book.accepted, TOLERANCE_KW) == []
+        assert exhaustive_subset_check(network, book.baseline, book.accepted) == []
         accepted_counts.append(len(book.accepted))
         instances += 1
     elapsed = time.perf_counter() - start
@@ -420,7 +420,7 @@ def test_a10_all_combinations_scales_past_forty_conditional_matches(tmp_path, ca
     assert len(book.accepted) >= 40
     assert OUTCOME_REJECTED_CONGESTION in log  # the network check did bind
 
-    assert worst_subset_check(network, book.baseline, book.accepted, TOLERANCE_KW) == []
+    assert worst_subset_check(network, book.baseline, book.accepted) == []
     capsys.readouterr()
     check = ["check", "--network", network_path, "--exhaustive"]
     assert main(check + ["--bids", str(bids), "--trades", str(out / "trades.jsonl")]) == 0

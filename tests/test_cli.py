@@ -256,14 +256,14 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, text, message",
     [
-        ("injection_kw", "injection_kw: [1, 2]\n", "injection_kw must be"),
-        ("buses", "buses: 5\n", "buses must be"),
-        ("lines", "lines: 7\n", "lines must be"),
+        ("injection_kw", "injection_kw: [1, 2]\n", "injection_kw is not a dict"),
+        ("buses", "buses: 5\n", "buses is not a list"),
+        ("lines", "lines: 7\n", "lines is not a list"),
         ("injections_kw", "injections_kw: {2: -5}\n", "unknown fields ['injections_kw']"),
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
-            "line #1 unknown fields ['limt']",
+            "line #1: unknown fields ['limt']",
         ),
         (
             "lines",

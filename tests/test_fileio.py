@@ -70,6 +70,9 @@ class TestLoadNetwork:
         path = write_three_bus(tmp_path, injections="  3: -20")
         _, baseline = load_network(path)
         assert baseline.injection_kw == {"1": 20.0, "2": 0.0, "3": -20.0}
+        # An empty injection_kw section reads as null: every bus injects nothing.
+        _, baseline = load_network(write_three_bus(tmp_path, injections=""))
+        assert baseline.injection_kw == {"1": 0.0, "2": 0.0, "3": 0.0}
 
     def test_unbalanced_explicit_slack_rejected(self, tmp_path):
         path = write_three_bus(tmp_path, injections="  1: 45\n  2: -20\n  3: -20")
@@ -173,8 +176,8 @@ class TestYamlLoaderFallback:
         [
             ("buses: [1, 2\nslack_bus: 1\n", "invalid YAML"),
             ("lines: {a: 1}\n  - b\n", "invalid YAML"),
-            ("- 1\n- 2\n", "expected a mapping at the top level"),
-            ("just text\n", "expected a mapping at the top level"),
+            ("- 1\n- 2\n", "not a mapping"),
+            ("just text\n", "not a mapping"),
             (
                 "buses: [1, 2]\nslack_bus: 1\nlines: []\ninjections_kw: {2: -5}\n",
                 r"unknown fields \['injections_kw'\]",
@@ -182,7 +185,7 @@ class TestYamlLoaderFallback:
             (
                 "buses: [1, 2]\nslack_bus: 1\n"
                 "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
-                r"line #1 unknown fields \['limt'\]",
+                r"line #1: unknown fields \['limt'\]",
             ),
         ],
     )
@@ -205,6 +208,10 @@ class TestLoadBids:
         assert (first.id, first.side, first.direction, first.bus) == ("req1", "request", "up", "13")
         assert (first.quantity_kw, first.price_eur_per_kw) == (30.0, 0.042)
         assert first.conditionality == "unconditional"
+        # The book numbers the bids as they arrive, not the loader.
+        book = new_book(*load_network(DATA / "fifteen_bus.yaml"), MarketConfig())
+        for bid in bids:
+            book.submit_bid(bid)
         assert [b.sequence for b in bids] == list(range(1, 13))
 
     def test_ids_and_buses_are_strings_and_labels_are_shared(self, tmp_path):
@@ -512,6 +519,32 @@ class TestBookRoundTrip:
             logs.append(trade_log_lines(reloaded.trade_log))
         assert logs[0] == logs[1]
         assert any(e.outcome == "matched" for e in reloaded.trade_log)
+
+    def test_a_resumed_book_takes_a_new_bid_file(self, tmp_path):
+        config = MarketConfig()
+        first = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", config)
+        path = tmp_path / "book.json"
+        path.write_text(book_json(first.book))
+        more = tmp_path / "more.jsonl"
+        more.write_text(
+            '{"id": "o9", "side": "offer", "direction": "up", "bus": 3, '
+            '"quantity_kw": 5, "price_eur_per_kw": 0.04}\n'
+            '{"id": "r9", "side": "request", "direction": "up", "bus": 2, '
+            '"quantity_kw": 5, "price_eur_per_kw": 0.05, "conditionality": "conditional"}\n'
+        )
+        network, baseline = load_network(DATA / "three_bus.yaml")
+        resumed = load_book(path, network, config)
+        bids = load_bids(more)
+        for bid in bids:
+            resumed.submit_bid(bid)
+        assert [b.sequence for b in bids] == [5, 6]
+
+        whole = new_book(network, baseline, config)
+        for bid in load_bids(DATA / "bids_reevaluation.jsonl") + load_bids(more):
+            whole.submit_bid(bid)
+        assert resumed.trade_log[-1].outcome == "matched"
+        assert first.trades + resumed.trade_log == whole.trade_log
+        assert book_json(resumed) == book_json(whole)
 
     @pytest.mark.parametrize(
         "damage, message",

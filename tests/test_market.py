@@ -86,6 +86,11 @@ class TestBidValidation:
         with pytest.raises(MarketError, match="quantity"):
             offer("o", "up", "1", 0, 0.05)
 
+    @pytest.mark.parametrize("bid_id", ["", 7, None])
+    def test_id_must_be_a_non_empty_string(self, bid_id):
+        with pytest.raises(MarketError, match="bid id must be a non-empty string"):
+            offer(bid_id, "up", "1", 10, 0.05)
+
     def test_unknown_direction(self):
         with pytest.raises(MarketError, match="direction"):
             offer("o", "sideways", "1", 10, 0.05)
@@ -134,10 +139,11 @@ class TestSubmission:
         with pytest.raises(MarketError, match="duplicate"):
             book.submit_bid(request("x", "up", "1", 10, 0.05))
 
-    def test_unknown_bus_rejected(self, three_bus):
+    @pytest.mark.parametrize("bus", ["99", ["2"]])
+    def test_unknown_bus_rejected(self, three_bus, bus):
         book = make_book(three_bus)
         with pytest.raises(UnknownBusError):
-            book.submit_bid(offer("o", "up", "99", 10, 0.05))
+            book.submit_bid(offer("o", "up", bus, 10, 0.05))
 
     def test_incoming_request_matches_resting_offer(self, three_bus):
         book = make_book(three_bus)
@@ -420,6 +426,8 @@ class TestRestore:
             ([accepted_match("m1"), accepted_match("m1")], MarketError, "duplicate match id 'm1'"),
             ([accepted_match("m1"), accepted_match("m2", withdraw_bus="9")], UnknownBusError,
              "match m2: unknown bus '9'"),
+            ([accepted_match("m1"), accepted_match("m2", withdraw_bus=["3"])], UnknownBusError,
+             r"match m2: unknown bus \['3'\]"),
             # The book would hand out m3 again on its next match.
             ([accepted_match("m1"), accepted_match("m3")], MarketError,
              "match m3: id is above match_counter 2"),

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flexmarket import (
     Bid,
@@ -664,20 +664,33 @@ def swap_one_field(records, pick, value):
     record[keys[pick // len(records) % len(keys)]] = value
 
 
-def fuzzed_input(kind, path, pick, value):
-    """Write a valid input of ``kind`` with one field swapped; return its loader and CLI call."""
+def add_or_drop_one_field(records, pick, key, value):
+    """Add ``key``, set to ``value``, to the record ``pick`` chooses; or drop a required field."""
+    record = records[pick % len(records)]
+    if key is None:
+        required = sorted(set(record) - {"injection_kw"})  # a network's only optional field
+        del record[required[pick // len(records) % len(required)]]
+    else:
+        assume(key not in record)
+        record[key] = value
+
+
+def fuzzed_input(kind, path, change):
+    """Write a valid input of ``kind``, edited by ``change``; return its loader and CLI call.
+
+    ``change`` edits the records in place: a network's top level and lines, a dump's top level,
+    bids and matches, or the lines of a bids file or trade log.
+    """
     if kind == "network":
         with open(NETWORK) as handle:
             data = yaml.safe_load(handle)
-        swap_one_field(data["lines"], pick, value)
+        change([data, *data["lines"]])
         with open(path, "w") as handle:
             yaml.safe_dump(data, handle)
         return load_network, ["run", "--network", path, "--bids", BIDS]
     if kind == "book":
         data = json.loads(fifteen_bus_outputs()[1])
-        swap_one_field(
-            [data, *data["requests"], *data["offers"], *data["accepted_matches"]], pick, value
-        )
+        change([data, *data["requests"], *data["offers"], *data["accepted_matches"]])
         with open(path, "w") as handle:
             json.dump(data, handle)
         network, _ = load_network(NETWORK)
@@ -690,7 +703,7 @@ def fuzzed_input(kind, path, pick, value):
         records = [json.loads(line) for line in fifteen_bus_outputs()[0].splitlines()]
         loader = read_trade_log
         command = ["check", "--network", NETWORK, "--exhaustive", "--bids", BIDS, "--trades", path]
-    swap_one_field(records, pick, value)
+    change(records)
     with open(path, "w") as handle:
         handle.writelines(json.dumps(record) + "\n" for record in records)
     return loader, command
@@ -703,7 +716,9 @@ def test_a_swapped_field_loads_or_fails_with_an_input_error(kind, pick, value):
     """Any JSON value in any field of a valid input: a clean load or a documented error."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "input")
-        load, command = fuzzed_input(kind, path, pick, value)
+        load, command = fuzzed_input(
+            kind, path, lambda records: swap_one_field(records, pick, value)
+        )
         try:
             load(path)
         except INPUT_ERRORS:
@@ -712,4 +727,30 @@ def test_a_swapped_field_loads_or_fails_with_an_input_error(kind, pick, value):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(command)
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["network", "bids", "trades", "book"])
+@settings(max_examples=40, deadline=None)
+@given(
+    pick=st.integers(0, 10 ** 6),
+    # No key means drop one. An added key is new to its record; only these two
+    # are in a format yet may be missing from a valid record.
+    key=st.none()
+    | st.text(max_size=6).filter(lambda k: k not in ("conditionality", "injection_kw")),
+    value=json_values,
+)
+def test_an_added_or_dropped_field_is_an_input_error(kind, pick, key, value):
+    """A key outside the format, or a missing required one, in any record: exit 2."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input")
+        load, command = fuzzed_input(
+            kind, path, lambda records: add_or_drop_one_field(records, pick, key, value)
+        )
+        with pytest.raises(InputError):
+            load(path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command)
+    assert code == 2
     assert "Traceback" not in err.getvalue()
