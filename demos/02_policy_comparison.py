@@ -15,15 +15,14 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def show(title, network_file, bids_file, policy):
-    result = run_replay(DATA / network_file, DATA / bids_file, MarketConfig(policy=policy))
+    book = run_replay(DATA / network_file, DATA / bids_file, MarketConfig(policy=policy))
     print(f"\n{title} [{policy}]")
-    for entry in result.trades:
+    for entry in book.trade_log:
         note = f" (binding {', '.join(entry.binding_lines)})" if entry.binding_lines else ""
         print(
             f"  round {entry.round}: {entry.offer_id}/{entry.request_id} "
             f"{entry.outcome} {entry.quantity_kw:g} kW @ {entry.price_eur_per_kw} EUR/kW{note}"
         )
-    book = result.book
     reports = exhaustive_subset_check(book.network, book.baseline, book.accepted)
     if reports:
         print("  activation audit found unsafe subsets:")
@@ -31,7 +30,7 @@ def show(title, network_file, bids_file, policy):
             print(f"    {report}")
     else:
         print("  activation audit clean: every subset of matches can be activated")
-    return result
+    return book
 
 
 show("Jointly infeasible pair", "three_bus.yaml", "bids_joint_overload.jsonl", "individual")

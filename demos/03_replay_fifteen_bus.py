@@ -13,13 +13,12 @@ from flexmarket import MarketConfig, line_flows, run_replay
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
-result = run_replay(
+book = run_replay(
     DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig(policy="all")
 )
-book = result.book
 
 print("Trade log")
-for entry in result.trades:
+for entry in book.trade_log:
     note = f" (binding {', '.join(entry.binding_lines)})" if entry.binding_lines else ""
     print(
         f"  round {entry.round:2d}: {entry.offer_id}/{entry.request_id:6s} "

@@ -16,7 +16,6 @@ from .errors import (
 )
 from .fileio import (
     MarketConfig,
-    ReplayResult,
     audit_trade_log,
     book_json,
     dump_book,
@@ -85,7 +84,6 @@ __all__ = [
     "OracleReport",
     "OrderBook",
     "PtdfMatrix",
-    "ReplayResult",
     "SCENARIOS",
     "TradeLogEntry",
     "UNCONDITIONAL",

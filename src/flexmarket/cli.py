@@ -73,15 +73,11 @@ def cmd_run(args) -> int:
         scenarios_path=args.scenarios,
         order=args.order,
     )
-    result = run_replay(args.network, args.bids, config, out_dir=args.out)
-    if result.exit_code:
-        print(f"error: {result.error}", file=sys.stderr)
-        return result.exit_code
-    for line in trade_log_lines(result.trades):
+    book = run_replay(args.network, args.bids, config, out_dir=args.out)
+    for line in trade_log_lines(book.trade_log):
         print(line)
-    book = result.book
     print(
-        f"# {len(result.trades)} log entries, {book.match_count} matches, "
+        f"# {len(book.trade_log)} log entries, {book.match_count} matches, "
         f"{len(book.requests)} requests and {len(book.offers)} offers resting",
         file=sys.stderr,
     )

@@ -4,7 +4,7 @@
 class FlexMarketError(Exception):
     """Base class for all errors raised by this package."""
 
-    #: The exit code the CLI and ``run_replay`` report this error with.
+    #: The exit code the CLI reports this error with.
     exit_code = 2
 
 

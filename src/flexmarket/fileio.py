@@ -3,8 +3,12 @@
 Networks and scenario lists are YAML; bid streams and trade logs are
 one self-describing JSON record per line so arrival order is the file
 order and logs diff deterministically. Units are kW and EUR/kW
-throughout; reactances are per-unit. Bus ids are normalized to strings
-on load.
+throughout; reactances are per-unit.
+
+Every field of every file is read by the one rule its record kind's
+table names for it. One rule reads every bus and bid label, in every
+file a person writes: a string, or an integer read as its decimal
+string (``2`` is bus ``"2"``); anything else is an input error.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import FlexMarketError, InputError, MarketError, NetworkError
+from .errors import InputError, MarketError, NetworkError
 # build_ptdf is not called here, but bench/tracing.py wraps fileio.build_ptdf by name.
 from .grid import (
     QUANTITY_TOL,
@@ -53,8 +57,6 @@ from .market import (
 )
 from .oracle import worst_subset_check
 
-EXIT_OK = 0
-
 # libyaml's parser where PyYAML was built with it; the pure-Python one only
 # where it was not. Both build the same data with the safe constructor.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -67,38 +69,6 @@ POLICY_ALIASES = {
     "all": ALL_COMBINATIONS,
     "scenarios": SCENARIOS,
 }
-
-# The fields each record kind may hold, with their types; see _checked. A field
-# typed None is converted by its loader. A network file may leave out its
-# injections, and only requests carry a conditionality.
-_NETWORK_FIELDS = dict(buses=list, slack_bus=None, lines=list, injection_kw=dict)
-_LINE_FIELDS = dict(from_bus=None, to_bus=None, reactance=None, limit_kw=None)
-_BID_FIELDS = dict(
-    id=None, side=None, direction=None, bus=None, quantity_kw=None, price_eur_per_kw=None,
-    conditionality=None,
-)
-
-# The fields of a book dump and of its records. The counters carry the names
-# that OrderBook.snapshot and OrderBook.restore use, and a record's fields are
-# the names of its class's fields.
-_DUMP_COUNTERS = dict(round=int, sequence=int, match_counter=int)
-_DUMP_FIELDS = dict(
-    _DUMP_COUNTERS, injection_kw=dict,
-    requests=list, offers=list, accepted_matches=list, seen_ids=list,
-)
-_DUMP_BID_FIELDS = dict(
-    id=str, side=str, direction=str, bus=str, quantity_kw=float,
-    original_quantity_kw=float, price_eur_per_kw=float, sequence=int, conditionality=None,
-)
-_DUMP_MATCH_FIELDS = dict(
-    match_id=str, offer_id=str, request_id=str, inject_bus=str, withdraw_bus=str,
-    quantity_kw=float, price_eur_per_kw=float, conditionality=str, round=int,
-)
-# The fields of a trade-log record, in TradeLogEntry order, with their types.
-_TRADE_FIELDS = dict(
-    round=int, offer_id=str, request_id=str, quantity_kw=float,
-    price_eur_per_kw=float, outcome=str, binding_lines=list,
-)
 
 
 @dataclass
@@ -113,84 +83,182 @@ class MarketConfig:
         self.policy = POLICY_ALIASES.get(self.policy, self.policy)
         if self.policy not in POLICY_VARIANTS:
             raise InputError(f"unknown policy {self.policy!r}")
+        if self.policy == SCENARIOS and self.scenarios_path is None:
+            raise InputError("the scenarios policy needs a scenarios file")
+        if self.policy != SCENARIOS and self.scenarios_path is not None:
+            raise InputError(f"only the scenarios policy reads a scenarios file, not {self.policy}")
 
 
-@dataclass
-class ReplayResult:
-    trades: list
-    book: Optional[OrderBook]
-    exit_code: int
-    error: Optional[str] = None
+# ----------------------------------------------------------------------
+# field rules: rule(value, name) is the value to keep, or an InputError naming ``name``
 
 
-def _number(value, where: str, kind=float):
-    """``value`` as a finite ``float``, or a whole ``int``; otherwise an InputError.
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for an error message, unless an integer in it is too long to write out."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
 
-    A string is not a number here, even one that holds a number, and
-    neither is a boolean.
-    """
+
+def _number(value, name: str) -> float:
+    """A finite number from an input file, as a ``float``; a string or a boolean is no number."""
     try:
         if isinstance(value, bool):
             raise TypeError("a bool is not a number")
         finite = math.isfinite(value)  # a TypeError for a string, as for any non-number
     except TypeError:
-        raise InputError(f"{where}: expected a number, got {value!r}") from None
+        raise InputError(f"{name}: expected a number, got {_shown(value)}") from None
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise InputError(f"{where}: expected a finite number, got {value!r}")
-    number = float(value)
-    if kind is float:
-        return number
-    if not number.is_integer():
-        raise InputError(f"{where}: expected an integer, got {value!r}")
-    return int(number)
+        raise InputError(f"{name}: expected a finite number, got {_shown(value)}")
+    return float(value)
 
 
-def _dumped_number(value, where: str, kind=float):
-    """A number read back from a dump or trade log, as :func:`_number` checks it.
-
-    An integer stays an ``int`` even in a float field: the engine held
-    it as one and must write it as one again.
-    """
-    number = _number(value, where, kind)
+def _dumped_number(value, name: str):
+    """A number read back from a dump or trade log; an ``int`` stays one, to be written as one."""
+    number = _number(value, name)
     return value if type(value) is int else number
 
 
-def _refusal(where: str, problem: str) -> InputError:
-    """An InputError for the record ``where`` names; if ``where`` is empty, the caller names it."""
-    return InputError(f"{where}: {problem}" if where else problem)
+def _whole(value, name: str) -> int:
+    """A whole number, as :func:`_number` checks it, as an ``int``."""
+    number = _number(value, name)
+    if not number.is_integer():
+        raise InputError(f"{name}: expected an integer, got {_shown(value)}")
+    return value if type(value) is int else int(number)
 
 
-def _checked(record, fields: dict, where: str, optional=()) -> None:
-    """Refuse ``record`` unless it is a mapping of the fields in ``fields``, well typed.
+def _label(value, name: str) -> str:
+    """A bus or bid label: a string, or an integer read as its decimal string."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # the type of true and false is bool, so both are refused
+        try:
+            return str(value)
+        except ValueError:  # too many digits to write out
+            pass
+    raise InputError(f"{name} must be a string or an integer, got {_shown(value)}")
 
-    ``fields`` maps each field the record may hold to its type. Every
-    field not named in ``optional`` is required, and an optional one may
-    also be null. A field typed ``None`` is left to the loader, which
-    converts it; a numeric field is checked by :func:`_dumped_number` and
-    stored back in ``record`` as it converts it; any other typed field must
-    be an instance of its type. The message names ``where``.
+
+def _bus(value, name: str) -> str:
+    """A bus label, as :func:`_label` reads it; every record naming a bus shares one string."""
+    return sys.intern(value if type(value) is str else _label(value, name))
+
+
+def _string(value, name: str) -> str:
+    """A string the engine wrote itself, in a dump or trade log."""
+    if type(value) is not str:
+        raise InputError(f"{name} is not a str")
+    return value
+
+
+def _list_of(rule):
+    """The rule for a list of values that each pass ``rule``; the list is read as a tuple."""
+
+    def checked(value, name: str) -> tuple:
+        if not isinstance(value, list):
+            raise InputError(f"{name} is not a list")
+        return tuple(rule(item, f"{name}[{i}]") for i, item in enumerate(value))
+
+    return checked
+
+
+def _per_bus(rule):
+    """The rule for a mapping of bus labels to values that each pass ``rule``."""
+
+    def checked(value, name: str) -> dict:
+        if not isinstance(value, dict):
+            raise InputError(f"{name} is not a dict")
+        mapping = {_bus(b, f"{name} key"): rule(v, f"{name} of bus {b}") for b, v in value.items()}
+        if len(mapping) < len(value):
+            raise InputError(f"{name} names a bus twice, as a string and as an integer")
+        return mapping
+
+    return checked
+
+
+def _records(fields):
+    """The rule for a list of records of the kind ``fields`` describes."""
+    return _list_of(lambda record, name: _checked(record, fields, name))
+
+
+class _Fields(dict):
+    """The fields a record kind may hold, each mapped to the rule that checks and converts it.
+
+    ``None`` passes a field through to a record constructor that checks it. Every field
+    not named in ``optional`` is required, and an optional one may also be null.
     """
+
+    def __init__(self, optional=(), **rules):
+        super().__init__(rules)
+        self.optional = frozenset(optional)
+        # Only these are visited for each record, so passed-through fields cost nothing.
+        self.rules = tuple((key, rule) for key, rule in rules.items() if rule is not None)
+
+
+def _checked(record, fields: _Fields, where: str) -> dict:
+    """``record``, each field converted in place by its rule in ``fields``; errors name ``where``.
+
+    A record that is not a mapping, holds a field ``fields`` does not list
+    or lacks a required one is refused.
+    """
+    prefix = f"{where}: " if where else ""  # an empty ``where``: the caller names the record
     if not isinstance(record, dict):
-        raise _refusal(where, "not a mapping")
+        raise InputError(f"{prefix}not a mapping")
     keys = record.keys()
     if not keys <= fields.keys():
-        raise _refusal(where, f"unknown fields {sorted(map(str, keys - fields.keys()))}")
+        unknown = sorted(_shown(key, str) for key in keys - fields.keys())
+        raise InputError(f"{prefix}unknown fields {unknown}")
+    optional = fields.optional
     if len(keys) < len(fields):
         missing = (fields.keys() - keys).difference(optional)
         if missing:
-            raise _refusal(where, f"missing {sorted(missing)}")
-    if not any(fields.values()):  # nothing typed: the bid and line tables
-        return
-    for key, kind in fields.items():
+            raise InputError(f"{prefix}missing {sorted(missing)}")
+    for key, rule in fields.rules:
         value = record.get(key)
-        if kind is None or (value is None and key in optional):
-            continue
-        if kind in (int, float):
-            record[key] = _dumped_number(value, f"{where}: {key}", kind)
-        elif not isinstance(value, kind):
-            raise _refusal(where, f"{key} is not a {kind.__name__}")
+        if value is not None or key not in optional:
+            record[key] = rule(value, prefix + key)
+    return record
+
+
+# The fields of each record kind, with their rules. A bid's side, direction and
+# conditionality are checked by Bid itself.
+_LINE_FIELDS = _Fields(from_bus=_bus, to_bus=_bus, reactance=_number, limit_kw=_number)
+_NETWORK_FIELDS = _Fields(
+    buses=_list_of(_bus), slack_bus=_bus, lines=_records(_LINE_FIELDS),
+    injection_kw=_per_bus(_number), optional=("injection_kw",),
+)
+_BID_FIELDS = _Fields(
+    id=_label, side=None, direction=None, bus=_bus, quantity_kw=_number,
+    price_eur_per_kw=_number, conditionality=None, optional=("conditionality",),
+)
+
+# The fields of a book dump and of its records. The counters carry the names
+# that OrderBook.snapshot and OrderBook.restore use, and a record's fields are
+# the names of its class's fields.
+_DUMP_COUNTERS = ("round", "sequence", "match_counter")
+_DUMP_BID_FIELDS = _Fields(
+    id=_string, side=_string, direction=_string, bus=_string, quantity_kw=_dumped_number,
+    original_quantity_kw=_dumped_number, price_eur_per_kw=_dumped_number, sequence=_whole,
+    conditionality=None, optional=("conditionality",),
+)
+_DUMP_MATCH_FIELDS = _Fields(
+    match_id=_string, offer_id=_string, request_id=_string, inject_bus=_string,
+    withdraw_bus=_string, quantity_kw=_dumped_number, price_eur_per_kw=_dumped_number,
+    conditionality=_string, round=_whole,
+)
+_DUMP_FIELDS = _Fields(
+    **dict.fromkeys(_DUMP_COUNTERS, _whole), injection_kw=_per_bus(_dumped_number),
+    requests=_records(_DUMP_BID_FIELDS), offers=_records(_DUMP_BID_FIELDS),
+    accepted_matches=_records(_DUMP_MATCH_FIELDS), seen_ids=_list_of(_string),
+)
+# The fields of a trade-log record, in TradeLogEntry order.
+_TRADE_FIELDS = _Fields(
+    round=_whole, offer_id=_string, request_id=_string, quantity_kw=_dumped_number,
+    price_eur_per_kw=_dumped_number, outcome=_string, binding_lines=_list_of(_string),
+)
 
 
 def load_network(path, require_feasible: bool = True):
@@ -201,29 +269,11 @@ def load_network(path, require_feasible: bool = True):
     Missing non-slack entries default to zero. Unless disabled, the
     baseline must violate no line limit.
     """
-    data = _read_yaml(path, "network")
-    _checked(data, _NETWORK_FIELDS, str(path), optional=("injection_kw",))
-    buses = [str(b) for b in data["buses"]]
-    slack = str(data["slack_bus"])
-    lines = []
-    for i, raw in enumerate(data["lines"]):
-        where = f"{path}: line #{i + 1}"
-        _checked(raw, _LINE_FIELDS, where)
-        lines.append(
-            Line(
-                from_bus=str(raw["from_bus"]),
-                to_bus=str(raw["to_bus"]),
-                reactance=_number(raw["reactance"], f"{where} reactance"),
-                limit_kw=_number(raw["limit_kw"], f"{where} limit_kw"),
-            )
-        )
-    network = Network(buses=buses, lines=lines, slack_bus=slack)
+    data = _checked(_read_yaml(path, "network"), _NETWORK_FIELDS, str(path))
+    buses, slack = data["buses"], data["slack_bus"]
+    network = Network(buses=buses, lines=[Line(**raw) for raw in data["lines"]], slack_bus=slack)
 
-    raw_injections = data.get("injection_kw") or {}
-    injections = {
-        str(bus): _number(value, f"{path}: injection_kw of bus {bus}")
-        for bus, value in raw_injections.items()
-    }
+    injections = data.get("injection_kw") or {}
     unknown = set(injections) - set(buses)
     if unknown:
         raise InputError(f"{path}: injection_kw names unknown buses {sorted(unknown)}")
@@ -271,35 +321,21 @@ def _json_lines(path, what: str):
         yield lineno, record
 
 
-def _label(value, field: str) -> str:
-    """A bid's id or bus as a string: a JSON string, or an integer written as one."""
-    if type(value) is str:
-        return value
-    if type(value) is int:  # the type of true and false is bool, so both are refused
-        return str(value)
-    raise InputError(f"{field} must be a string or an integer, got {value!r}")
-
-
 def load_bids(path) -> list:
     """Read a bid stream: one JSON record per line, in arrival order.
 
-    Ids and buses are strings or integers, each kept as a string; every
-    bid on a bus shares one interned string for it. The bids are not
-    numbered: the book numbers each one as it arrives.
+    Ids and buses are labels (see :func:`_label`); every bid on a bus
+    shares one string for it. The bids are not numbered: the book
+    numbers each one as it arrives.
     """
     bids = []
     seen = set()
     for lineno, record in _json_lines(path, "bids file"):
         try:
-            _checked(record, _BID_FIELDS, "", optional=("conditionality",))
+            _checked(record, _BID_FIELDS, "")
             bid = Bid(
-                id=_label(record["id"], "id"),
-                side=record["side"],
-                direction=record["direction"],
-                bus=sys.intern(_label(record["bus"], "bus")),
-                quantity_kw=_number(record["quantity_kw"], "quantity_kw"),
-                price_eur_per_kw=_number(record["price_eur_per_kw"], "price_eur_per_kw"),
-                conditionality=record.get("conditionality"),
+                record["id"], record["side"], record["direction"], record["bus"],
+                record["quantity_kw"], record["price_eur_per_kw"], record.get("conditionality"),
             )
         except (InputError, MarketError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
@@ -311,22 +347,15 @@ def load_bids(path) -> list:
 
 
 def load_scenarios(path) -> tuple:
-    """Read activation scenarios: a YAML list of lists of match ids."""
-    data = _read_yaml(path, "scenarios")
-    if not isinstance(data, list) or not data:
+    """Read activation scenarios: a non-empty YAML list of lists of match ids (labels)."""
+    scenarios = _list_of(_list_of(_label))(_read_yaml(path, "scenarios"), f"{path}: scenarios")
+    if not scenarios:
         raise InputError(f"{path}: expected a non-empty list of scenarios")
-    scenarios = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, list):
-            raise InputError(f"{path}: scenario #{i + 1} is not a list")
-        scenarios.append(frozenset(str(m) for m in entry))
-    return tuple(scenarios)
+    return tuple(map(frozenset, scenarios))
 
 
 def build_policy(config: MarketConfig) -> FeasibilityPolicy:
     if config.policy == SCENARIOS:
-        if not config.scenarios_path:
-            raise InputError("the scenarios policy needs a scenarios file")
         return FeasibilityPolicy(SCENARIOS, load_scenarios(config.scenarios_path))
     return FeasibilityPolicy(config.policy)
 
@@ -335,28 +364,25 @@ def new_book(network, baseline, config: MarketConfig) -> OrderBook:
     return OrderBook(network, baseline, build_policy(config), order=config.order)
 
 
-def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> ReplayResult:
-    """Feed a bid file through the market in file order.
+def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> OrderBook:
+    """Feed a bid file through the market in file order; return the book.
 
-    On success, optionally writes ``trades.jsonl`` and ``book.json``
-    under ``out_dir``. Load and validation problems are reported through
-    the exit code instead of raising.
+    Optionally writes ``trades.jsonl`` and ``book.json`` under
+    ``out_dir``. A load or validation problem raises its
+    :class:`FlexMarketError`, and nothing is written.
     """
-    try:
-        network, baseline = load_network(network_path)
-        bids = load_bids(bids_path)
-        book = new_book(network, baseline, config)
-        for bid in bids:
-            book.submit_bid(bid)
-    except FlexMarketError as exc:
-        return ReplayResult([], None, exc.exit_code, str(exc))
+    network, baseline = load_network(network_path)
+    bids = load_bids(bids_path)
+    book = new_book(network, baseline, config)
+    for bid in bids:
+        book.submit_bid(bid)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_trade_log(book.trade_log, os.path.join(out_dir, "trades.jsonl"))
         with open(os.path.join(out_dir, "book.json"), "w") as handle:
             handle.write(book_json(book))
-    return ReplayResult(book.trade_log, book, EXIT_OK)
+    return book
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +435,13 @@ def read_trade_log(path) -> list:
     """Read a trade log written by :func:`write_trade_log`.
 
     A line that is not a JSON record holding exactly the fields of
-    ``_TRADE_FIELDS``, each with its type, a finite quantity and price, a
-    whole round and a list of binding lines, raises :class:`InputError`
-    naming the line.
+    ``_TRADE_FIELDS``, each as its rule reads it, raises
+    :class:`InputError` naming the line.
     """
-    entries = []
-    for lineno, record in _json_lines(path, "trade log"):
-        _checked(record, _TRADE_FIELDS, f"{path}:{lineno}")
-        record["binding_lines"] = tuple(record["binding_lines"])
-        entries.append(TradeLogEntry(**record))
-    return entries
+    return [
+        TradeLogEntry(**_checked(record, _TRADE_FIELDS, f"{path}:{lineno}"))
+        for lineno, record in _json_lines(path, "trade log")
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -539,23 +562,7 @@ def read_book_dump(path) -> dict:
         raise InputError(f"cannot read book dump: {exc}") from None
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
-
-    _checked(data, _DUMP_FIELDS, str(path))
-    data["injection_kw"] = {
-        str(bus): _dumped_number(value, f"{path}: injection_kw of bus {bus}")
-        for bus, value in data["injection_kw"].items()
-    }
-    for key, fields, optional in (
-        ("requests", _DUMP_BID_FIELDS, ("conditionality",)),
-        ("offers", _DUMP_BID_FIELDS, ("conditionality",)),
-        ("accepted_matches", _DUMP_MATCH_FIELDS, ()),
-    ):
-        for i, raw in enumerate(data[key]):
-            _checked(raw, fields, f"{path}: {key}[{i}]", optional)
-    for i, bid_id in enumerate(data["seen_ids"]):
-        if not isinstance(bid_id, str):
-            raise InputError(f"{path}: seen_ids[{i}] is not a str")
-    return data
+    return _checked(data, _DUMP_FIELDS, str(path))
 
 
 def load_book(path, network, config: MarketConfig) -> OrderBook:
@@ -610,17 +617,8 @@ def audit_trade_log(network_path, bids_path, trades_path):
         if request.conditionality == UNCONDITIONAL:
             dispatch.apply_exchange(inject_bus, withdraw_bus, entry.quantity_kw)
         else:
-            conditional.append(
-                MatchRecord(
-                    match_id=f"m{i + 1}",
-                    offer_id=offer.id,
-                    request_id=request.id,
-                    inject_bus=inject_bus,
-                    withdraw_bus=withdraw_bus,
-                    quantity_kw=entry.quantity_kw,
-                    price_eur_per_kw=entry.price_eur_per_kw,
-                    conditionality=request.conditionality,
-                    round=entry.round,
-                )
-            )
+            conditional.append(MatchRecord(  # its fields, in order
+                f"m{i + 1}", offer.id, request.id, inject_bus, withdraw_bus, entry.quantity_kw,
+                entry.price_eur_per_kw, request.conditionality, entry.round,
+            ))
     return worst_subset_check(network, dispatch, conditional)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NetworkError, UnknownBusError
+from .errors import MarketError, NetworkError, UnknownBusError
 from .grid import DispatchState, Network, QUANTITY_TOL
 
 
@@ -92,7 +92,7 @@ def exhaustive_subset_check(network: Network, baseline: DispatchState, matches: 
     combination of real-time activations can violate a line limit.
     """
     if len(matches) > 20:
-        raise ValueError(f"{len(matches)} matches would need {2 ** len(matches)} subsets")
+        raise MarketError(f"{len(matches)} matches would need {2 ** len(matches)} subsets")
     reports = []
     for mask in range(2 ** len(matches)):
         subset = [record for bit, record in enumerate(matches) if mask >> bit & 1]

@@ -48,10 +48,8 @@ TOLERANCE_KW = 1e-6
 def replay(network_file, bids_file, policy, **kwargs):
     config = MarketConfig(policy=policy, **kwargs)
     start = time.perf_counter()
-    result = run_replay(DATA / network_file, DATA / bids_file, config)
-    elapsed = time.perf_counter() - start
-    assert result.exit_code == 0, result.error
-    return result, elapsed
+    book = run_replay(DATA / network_file, DATA / bids_file, config)
+    return book, time.perf_counter() - start
 
 
 def fills(entries):
@@ -63,8 +61,7 @@ def fills(entries):
 
 
 def test_a1_individual_policy_admits_a_jointly_infeasible_pair():
-    result, elapsed = replay("three_bus.yaml", "bids_joint_overload.jsonl", "individual")
-    book = result.book
+    book, elapsed = replay("three_bus.yaml", "bids_joint_overload.jsonl", "individual")
     assert [m.quantity_kw for m in book.accepted] == [10.0, 20.0]
 
     reports = exhaustive_subset_check(book.network, book.baseline, book.accepted)
@@ -84,11 +81,11 @@ def test_a1_individual_policy_admits_a_jointly_infeasible_pair():
 
 def test_a2_cumulative_accepts_the_relief_chain_all_combinations_caps_it():
     cumulative, t1 = replay("three_bus.yaml", "bids_congestion_relief.jsonl", "cumulative")
-    assert [m.quantity_kw for m in cumulative.book.accepted] == [20.0, 30.0, 20.0]
+    assert [m.quantity_kw for m in cumulative.accepted] == [20.0, 30.0, 20.0]
 
     exhaustive, t2 = replay("three_bus.yaml", "bids_congestion_relief.jsonl", "all")
-    assert [m.quantity_kw for m in exhaustive.book.accepted] == [20.0, 30.0]
-    last = exhaustive.trades[-1]
+    assert [m.quantity_kw for m in exhaustive.accepted] == [20.0, 30.0]
+    last = exhaustive.trade_log[-1]
     assert last.outcome == OUTCOME_REJECTED_CONGESTION
     assert last.quantity_kw < 20.0
     assert last.binding_lines == ("2-3",)
@@ -101,8 +98,8 @@ def test_a2_cumulative_accepts_the_relief_chain_all_combinations_caps_it():
 
 
 def test_a3_unconditional_requests_trigger_reevaluation():
-    result, elapsed = replay("three_bus.yaml", "bids_reevaluation.jsonl", "all")
-    entries = result.trades
+    book, elapsed = replay("three_bus.yaml", "bids_reevaluation.jsonl", "all")
+    entries = book.trade_log
     assert len(entries) == 3
     assert entries[0].outcome == OUTCOME_REJECTED_CONGESTION
     assert entries[0].binding_lines == ("2-3",)
@@ -199,29 +196,29 @@ EXPECTED_FIFTEEN_BUS_FILLS = [
 
 
 def test_a4_fifteen_bus_replay_reproduces_the_expected_rounds():
-    result, elapsed = replay("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all")
+    book, elapsed = replay("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all")
     assert elapsed < 2.0
 
-    assert fills(result.trades) == EXPECTED_FIFTEEN_BUS_FILLS
-    partial = [e for e in result.trades if e.outcome == OUTCOME_PARTIAL]
+    assert fills(book.trade_log) == EXPECTED_FIFTEEN_BUS_FILLS
+    partial = [e for e in book.trade_log if e.outcome == OUTCOME_PARTIAL]
     assert [(e.offer_id, e.request_id) for e in partial] == [("offer2", "req3")]
-    rejected = [e for e in result.trades if e.outcome == OUTCOME_REJECTED_CONGESTION]
+    rejected = [e for e in book.trade_log if e.outcome == OUTCOME_REJECTED_CONGESTION]
     assert [(e.offer_id, e.request_id) for e in rejected] == [
         ("offer2", "req5"),
         ("offer3", "req3"),
         ("offer3", "req5"),
     ]
     assert all(e.binding_lines for e in rejected + partial)
-    assert {b.id: b.quantity_kw for b in result.book.offers} == {
+    assert {b.id: b.quantity_kw for b in book.offers} == {
         "offer2": 20.0,
         "offer3": 30.0,
         "offer5": 20.0,
         "offer6": 10.0,
     }
-    assert result.book.requests == []
+    assert book.requests == []
 
     golden = (GOLDEN / "fifteen_bus.trades.jsonl").read_text()
-    assert "\n".join(trade_log_lines(result.trades)) + "\n" == golden
+    assert "\n".join(trade_log_lines(book.trade_log)) + "\n" == golden
 
     # independent confirmation by brute force on the oracle
     network, baseline = load_network(DATA / "fifteen_bus.yaml")
@@ -237,7 +234,6 @@ def test_a4_fifteen_bus_replay_reproduces_the_expected_rounds():
     }
 
     # and the cleared state is activation-safe
-    book = result.book
     assert exhaustive_subset_check(book.network, book.baseline, book.accepted) == []
     print(
         f"\nA4: PASS - 15-bus replay matches the expected log byte for byte and the "
@@ -347,18 +343,18 @@ def test_a8_every_trade_prices_at_the_earlier_bid():
         ("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all"),
     ]
     for network_file, bids_file, policy in scenarios:
-        result, _ = replay(network_file, bids_file, policy)
+        book, _ = replay(network_file, bids_file, policy)
         request_prices = {
             b.id: b.price_eur_per_kw for b in load_bids(DATA / bids_file) if b.side == "request"
         }
-        trades = [e for e in result.trades if e.outcome in (OUTCOME_MATCHED, OUTCOME_PARTIAL)]
+        trades = [e for e in book.trade_log if e.outcome in (OUTCOME_MATCHED, OUTCOME_PARTIAL)]
         assert trades, bids_file
         for entry in trades:
             assert entry.price_eur_per_kw == request_prices[entry.request_id]
 
     fifteen, _ = replay("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all")
     priced = {}
-    for entry in fifteen.trades:
+    for entry in fifteen.trade_log:
         if entry.outcome in (OUTCOME_MATCHED, OUTCOME_PARTIAL):
             priced.setdefault(entry.request_id, entry.price_eur_per_kw)
     assert priced == {
@@ -375,8 +371,8 @@ def test_a8_every_trade_prices_at_the_earlier_bid():
 def test_a9_trade_logs_are_byte_identical_across_runs():
     logs = set()
     for _ in range(5):
-        result, _ = replay("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all")
-        logs.add("\n".join(trade_log_lines(result.trades)) + "\n")
+        book, _ = replay("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all")
+        logs.add("\n".join(trade_log_lines(book.trade_log)) + "\n")
     assert len(logs) == 1
     assert logs.pop() == (GOLDEN / "fifteen_bus.trades.jsonl").read_text()
     print("\nA9: PASS - 5 replays produced one identical log")

@@ -67,6 +67,9 @@ def test_check_infeasible_baseline_exit_code(tmp_path, capsys):
     )
     assert main(["check", "--network", str(path)]) == 3
     assert "line 1-2" in capsys.readouterr().err
+    bids = str(DATA / "bids_reevaluation.jsonl")
+    assert main(["run", "--network", str(path), "--bids", bids]) == 3
+    assert "line 1-2" in capsys.readouterr().err
 
 
 def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
@@ -253,6 +256,35 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
     assert "reactance: expected a number" in capsys.readouterr().err
 
 
+# YAML reads a hexadecimal integer of any length; this one is too long to print in decimal.
+HUGE = "0x" + "f" * 5000
+# A label that is neither a string nor an integer, as YAML writes it and as the error shows it.
+BAD_LABELS = [("null", "None"), ("true", "True"), ("2.5", "2.5"), ("[2]", "[2]")]
+LABEL_CASES = [
+    case
+    for bad, shown in BAD_LABELS
+    for case in [
+        ("buses", f"buses: [1, {bad}]\n", f"buses[1] must be a string or an integer, got {shown}"),
+        (
+            "slack_bus", f"slack_bus: {bad}\n",
+            f"slack_bus must be a string or an integer, got {shown}",
+        ),
+        (
+            "lines",
+            f"lines:\n  - {{from_bus: 1, to_bus: {bad}, reactance: 0.1, limit_kw: 5}}\n",
+            f"lines[0]: to_bus must be a string or an integer, got {shown}",
+        ),
+        (
+            "injection_kw",
+            f"injection_kw: {{{bad}: -5}}\n",
+            # YAML itself refuses a list as a mapping key.
+            "invalid YAML" if bad == "[2]"
+            else f"injection_kw key must be a string or an integer, got {shown}",
+        ),
+    ]
+]
+
+
 @pytest.mark.parametrize(
     "section, text, message",
     [
@@ -263,12 +295,33 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
-            "line #1: unknown fields ['limt']",
+            "lines[0]: unknown fields ['limt']",
         ),
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 2, reactance: true, limit_kw: 5}\n",
-            "line #1 reactance: expected a number, got True",
+            "lines[0]: reactance: expected a number, got True",
+        ),
+        *LABEL_CASES,
+        ("injection_kw", 'injection_kw: {2: -5, "2": -5}\n', "injection_kw names a bus twice"),
+        pytest.param(
+            "lines",
+            f"lines:\n  - {{from_bus: 1, to_bus: 2, reactance: {HUGE}, limit_kw: 5}}\n",
+            "lines[0]: reactance: expected a finite number, got <int too long to show>",
+            id="huge-reactance",
+        ),
+        pytest.param(
+            "buses", f"buses: [1, {HUGE}]\n",
+            "buses[1] must be a string or an integer, got <int too long to show>", id="huge-bus",
+        ),
+        pytest.param(
+            "extra", f"? {HUGE}\n: 3\n", "unknown fields ['<int too long to show>']", id="huge-key"
+        ),
+        # Not a network section: the scenarios file that run reads under its policy.
+        (
+            "scenarios",
+            "- [m1, {a: 1}]\n",
+            "scenarios[0][1] must be a string or an integer, got {'a': 1}",
         ),
     ],
 )
@@ -278,13 +331,59 @@ def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section
         "slack_bus": "slack_bus: 1\n",
         "lines": "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5}\n",
     }
-    sections[section] = text
-    path = tmp_path / "net.yaml"
-    path.write_text("".join(sections.values()))
-    assert main(["check", "--network", str(path)]) == 2
+    network = path = tmp_path / "net.yaml"
+    args = ["check", "--network", str(network)]
+    if section == "scenarios":
+        path = tmp_path / "scenarios.yaml"
+        path.write_text(text)
+        bids = tmp_path / "bids.jsonl"
+        bids.write_text("")
+        args = ["run", "--network", str(network), "--bids", str(bids),
+                "--policy", "scenarios", "--scenarios", str(path)]
+    else:
+        sections[section] = text
+    network.write_text("".join(sections.values()))
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert str(path) in err
     assert "Traceback" not in err
+
+
+def test_run_refuses_a_scenarios_file_under_another_policy(tmp_path, capsys):
+    code = main(
+        [
+            "run",
+            "--network", str(DATA / "three_bus.yaml"),
+            "--bids", str(DATA / "bids_congestion_relief.jsonl"),
+            "--policy", "all",
+            "--scenarios", str(tmp_path / "missing.yaml"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "only the scenarios policy reads a scenarios file, not all_combinations" in err
+    assert "Traceback" not in err
+
+
+def test_run_clears_under_the_scenarios_policy(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "run",
+            "--network", str(DATA / "three_bus.yaml"),
+            "--bids", str(DATA / "bids_congestion_relief.jsonl"),
+            "--policy", "scenarios",
+            "--scenarios", str(DATA / "scenarios_example.yaml"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    golden = (GOLDEN / "scenarios_example.trades.jsonl").read_text()
+    assert (out / "trades.jsonl").read_text() == golden
+    capsys.readouterr()
+    assert main(["book", "--book", str(out / "book.json")]) == 0
+    assert "accepted conditional matches" in capsys.readouterr().out
 
 
 OFFER_RECORD = {"id": "o1", "side": "offer", "direction": "up", "bus": "2",

@@ -99,7 +99,7 @@ class TestLoadNetwork:
     def test_non_numeric_line_field_is_an_input_error(self, tmp_path, field, value, bad):
         path = write_three_bus(tmp_path)
         path.write_text(path.read_text().replace(f"{field}: {value}", f"{field}: {bad}", 1))
-        with pytest.raises(InputError, match=f"line #1 {field}: expected a number"):
+        with pytest.raises(InputError, match=rf"lines\[0\]: {field}: expected a number"):
             load_network(path)
 
     # PyYAML reads 1.0e3 as a string: YAML 1.1 wants a signed exponent.
@@ -135,22 +135,36 @@ class TestPtdfSharing:
         network, baseline = load_network(DATA / "fifteen_bus.yaml")
         ptdf = build_ptdf(network)
         books = [new_book(network, baseline, config) for _ in range(3)]
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
         path = tmp_path / "book.json"
-        path.write_text(book_json(result.book))
+        path.write_text(book_json(book))
         reloaded = load_book(path, network, config)
 
         assert all(book.ptdf is ptdf for book in books)
         assert reloaded.ptdf is ptdf
         assert not ptdf.matrix.flags.writeable
         # One solve for this network, one for the network run_replay loaded.
-        assert solves == [network, result.book.network]
-        assert result.book.network is not network
-        assert result.book.ptdf is not ptdf
-        assert (result.book.ptdf.matrix == ptdf.matrix).all()
+        assert solves == [network, book.network]
+        assert book.network is not network
+        assert book.ptdf is not ptdf
+        assert (book.ptdf.matrix == ptdf.matrix).all()
 
 
 NETWORK_FILES = sorted(p.name for p in DATA.glob("*.yaml") if not p.name.startswith("scenarios"))
+
+
+@pytest.mark.parametrize("name", NETWORK_FILES)
+def test_integer_labels_load_as_their_decimal_strings(name):
+    with open(DATA / name) as handle:
+        raw = yaml.safe_load(handle)
+    assert all(type(bus) is int for bus in raw["buses"])  # the bundled files write integers
+    network, baseline = load_network(DATA / name)
+    assert network.buses == tuple(str(bus) for bus in raw["buses"])
+    assert network.slack_bus == str(raw["slack_bus"])
+    assert [(line.from_bus, line.to_bus) for line in network.lines] == [
+        (str(line["from_bus"]), str(line["to_bus"])) for line in raw["lines"]
+    ]
+    assert set(map(str, raw["injection_kw"])) <= baseline.injection_kw.keys()
 
 
 class TestYamlLoaderFallback:
@@ -185,7 +199,7 @@ class TestYamlLoaderFallback:
             (
                 "buses: [1, 2]\nslack_bus: 1\n"
                 "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 5, limt: 3}\n",
-                r"line #1: unknown fields \['limt'\]",
+                r"lines\[0\]: unknown fields \['limt'\]",
             ),
         ],
     )
@@ -348,41 +362,40 @@ class TestRunReplay:
             '{"id": "r1", "side": "request", "direction": "up", "bus": 1, '
             '"quantity_kw": 5, "price_eur_per_kw": 0.1, "conditionality": "conditional"}\n'
         )
-        result = run_replay(DATA / "three_bus.yaml", bids, MarketConfig())
-        assert result.exit_code == 0
-        assert result.trades == []
-        assert [b.id for b in result.book.requests] == ["r1"]
+        book = run_replay(DATA / "three_bus.yaml", bids, MarketConfig())
+        assert book.trade_log == []
+        assert [b.id for b in book.requests] == ["r1"]
 
     def test_missing_network_is_an_input_error(self, tmp_path):
-        result = run_replay(tmp_path / "none.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
-        assert result.exit_code == 2
+        with pytest.raises(InputError) as caught:
+            run_replay(tmp_path / "none.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        assert caught.value.exit_code == 2
 
     def test_infeasible_baseline_exit_code(self, tmp_path):
         path = write_three_bus(tmp_path, limit=19)
-        result = run_replay(path, DATA / "bids_reevaluation.jsonl", MarketConfig())
-        assert result.exit_code == 3
-        assert "line 2-3" in result.error
+        with pytest.raises(InfeasibleBaselineError, match="line 2-3") as caught:
+            run_replay(path, DATA / "bids_reevaluation.jsonl", MarketConfig())
+        assert caught.value.exit_code == 3
 
     def test_writes_outputs(self, tmp_path):
         out = tmp_path / "out"
-        result = run_replay(
+        book = run_replay(
             DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig(), out_dir=out
         )
-        assert result.exit_code == 0
         assert (out / "trades.jsonl").exists() and (out / "book.json").exists()
-        assert read_trade_log(out / "trades.jsonl") == result.trades
+        assert read_trade_log(out / "trades.jsonl") == book.trade_log
 
 
 class TestTradeLogRoundTrip:
     def test_write_read(self, tmp_path):
-        result = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        book = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
         path = tmp_path / "trades.jsonl"
-        write_trade_log(result.trades, path)
-        assert read_trade_log(path) == result.trades
+        write_trade_log(book.trade_log, path)
+        assert read_trade_log(path) == book.trade_log
 
     def test_fractional_round_is_an_input_error(self, tmp_path):
-        result = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
-        records = [json.loads(line) for line in trade_log_lines(result.trades)]
+        book = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        records = [json.loads(line) for line in trade_log_lines(book.trade_log)]
         path = tmp_path / "trades.jsonl"
         path.write_text("".join(json.dumps({**r, "round": 1.5}) + "\n" for r in records))
         with pytest.raises(InputError, match=r"trades\.jsonl:1: round: expected an integer"):
@@ -399,8 +412,8 @@ class TestTradeLogRoundTrip:
         ],
     )
     def test_mistyped_field_is_an_input_error(self, tmp_path, field, value, message):
-        result = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
-        records = [json.loads(line) for line in trade_log_lines(result.trades)]
+        book = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig())
+        records = [json.loads(line) for line in trade_log_lines(book.trade_log)]
         path = tmp_path / "trades.jsonl"
         path.write_text("".join(json.dumps({**r, field: value}) + "\n" for r in records))
         with pytest.raises(InputError, match=rf"trades\.jsonl:1: {message}"):
@@ -409,7 +422,7 @@ class TestTradeLogRoundTrip:
     def test_lines_are_deterministic(self):
         first = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
         second = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        assert trade_log_lines(first.trades) == trade_log_lines(second.trades)
+        assert trade_log_lines(first.trade_log) == trade_log_lines(second.trade_log)
 
 
 class TestGoldenLogs:
@@ -426,40 +439,39 @@ class TestGoldenLogs:
     def test_replay_matches_the_expected_log(self, network_file, bids_file, policy, golden):
         from conftest import GOLDEN
 
-        result = run_replay(DATA / network_file, DATA / bids_file, MarketConfig(policy=policy))
-        assert result.exit_code == 0
-        produced = "\n".join(trade_log_lines(result.trades)) + "\n"
+        book = run_replay(DATA / network_file, DATA / bids_file, MarketConfig(policy=policy))
+        produced = "\n".join(trade_log_lines(book.trade_log)) + "\n"
         assert produced == (GOLDEN / f"{golden}.trades.jsonl").read_text()
 
 
 class TestBookRoundTrip:
     def test_dump_reload_dump_is_identical(self, tmp_path):
         config = MarketConfig()
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
         path = tmp_path / "book.json"
-        path.write_text(book_json(result.book))
+        path.write_text(book_json(book))
 
         network, _ = load_network(DATA / "fifteen_bus.yaml")
         reloaded = load_book(path, network, config)
-        assert dump_book(reloaded) == dump_book(result.book)
+        assert dump_book(reloaded) == dump_book(book)
         assert book_json(reloaded).encode() == path.read_bytes()
 
     def test_reloaded_book_keeps_clearing_consistently(self, tmp_path):
         from flexmarket import Bid
 
         config = MarketConfig()
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", config)
         path = tmp_path / "book.json"
-        path.write_text(book_json(result.book))
+        path.write_text(book_json(book))
         network, _ = load_network(DATA / "fifteen_bus.yaml")
         reloaded = load_book(path, network, config)
 
         probe = Bid("probe", "request", "down", "10", 5.0, 0.05, "conditional")
         twin = Bid("probe", "request", "down", "10", 5.0, 0.05, "conditional")
-        original_matches = result.book.submit_bid(probe)
+        original_matches = book.submit_bid(probe)
         reloaded_matches = reloaded.submit_bid(twin)
         assert [m.quantity_kw for m in original_matches] == [m.quantity_kw for m in reloaded_matches]
-        assert trade_log_lines(result.book.trade_log[-1:]) == trade_log_lines(reloaded.trade_log[-1:])
+        assert trade_log_lines(book.trade_log[-1:]) == trade_log_lines(reloaded.trade_log[-1:])
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -486,8 +498,8 @@ class TestBookRoundTrip:
         ],
     )
     def test_truncated_dump_is_an_input_error(self, tmp_path, damage, message):
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(result.book)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(book)
         damage(data)
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))
@@ -524,7 +536,7 @@ class TestBookRoundTrip:
         config = MarketConfig()
         first = run_replay(DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", config)
         path = tmp_path / "book.json"
-        path.write_text(book_json(first.book))
+        path.write_text(book_json(first))
         more = tmp_path / "more.jsonl"
         more.write_text(
             '{"id": "o9", "side": "offer", "direction": "up", "bus": 3, '
@@ -543,7 +555,7 @@ class TestBookRoundTrip:
         for bid in load_bids(DATA / "bids_reevaluation.jsonl") + load_bids(more):
             whole.submit_bid(bid)
         assert resumed.trade_log[-1].outcome == "matched"
-        assert first.trades + resumed.trade_log == whole.trade_log
+        assert first.trade_log + resumed.trade_log == whole.trade_log
         assert book_json(resumed) == book_json(whole)
 
     @pytest.mark.parametrize(
@@ -568,8 +580,8 @@ class TestBookRoundTrip:
         ],
     )
     def test_inconsistent_dump_is_an_input_error(self, tmp_path, damage, message):
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(result.book)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(book)
         damage(data)
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))
@@ -578,8 +590,8 @@ class TestBookRoundTrip:
             load_book(path, network, MarketConfig())
 
     def test_infeasible_dumped_baseline_is_not_an_input_error(self, tmp_path):
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(result.book)
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        data = dump_book(book)
         data["injection_kw"]["5"] += 1e6
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))
@@ -588,9 +600,9 @@ class TestBookRoundTrip:
             load_book(path, network, MarketConfig())
 
     def test_cut_off_dump_is_an_input_error(self, tmp_path):
-        result = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
+        book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
         path = tmp_path / "book.json"
-        path.write_text(book_json(result.book)[:200])
+        path.write_text(book_json(book)[:200])
         network, _ = load_network(DATA / "fifteen_bus.yaml")
         with pytest.raises(InputError, match="invalid JSON"):
             load_book(path, network, MarketConfig())

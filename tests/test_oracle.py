@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexmarket import DispatchState, MatchRecord, UnknownBusError
+from flexmarket import DispatchState, MarketError, MatchRecord, UnknownBusError
 from flexmarket.oracle import (
     dc_solve,
     exhaustive_subset_check,
@@ -98,7 +98,7 @@ class TestExhaustiveSubsetCheck:
     def test_refuses_oversized_match_sets(self, three_bus):
         network, dispatch = three_bus
         matches = [record(f"m{i}", "1", "2", 0.001) for i in range(21)]
-        with pytest.raises(ValueError):
+        with pytest.raises(MarketError, match="21 matches would need 2097152 subsets"):
             exhaustive_subset_check(network, dispatch, matches)
 
 

@@ -653,8 +653,8 @@ json_values = st.recursive(
 @functools.lru_cache(maxsize=None)
 def fifteen_bus_outputs():
     """The trade log and book dump of the bundled 15-bus replay, as JSON text."""
-    result = run_replay(NETWORK, BIDS, MarketConfig())
-    return "\n".join(trade_log_lines(result.trades)) + "\n", book_json(result.book)
+    book = run_replay(NETWORK, BIDS, MarketConfig())
+    return "\n".join(trade_log_lines(book.trade_log)) + "\n", book_json(book)
 
 
 def swap_one_field(records, pick, value):
