@@ -131,20 +131,20 @@ def cmd_book(args) -> int:
         if not data[side]:
             print("  (none)")
         for bid in data[side]:
-            extra = f", {bid['conditionality']}" if "conditionality" in bid else ""
+            extra = f", {bid.conditionality}" if bid.conditionality else ""
             print(
-                f"  {bid['id']}: {bid['direction']} {bid['quantity_kw']:g} kW"
-                f" of {bid['original_quantity_kw']:g} kW @ bus {bid['bus']}"
-                f" for {bid['price_eur_per_kw']:g} EUR/kW{extra}"
+                f"  {bid.id}: {bid.direction} {bid.quantity_kw:g} kW"
+                f" of {bid.original_quantity_kw:g} kW @ bus {bid.bus}"
+                f" for {bid.price_eur_per_kw:g} EUR/kW{extra}"
             )
     print("accepted conditional matches:")
     if not data["accepted_matches"]:
         print("  (none)")
     for rec in data["accepted_matches"]:
         print(
-            f"  {rec['match_id']}: {rec['offer_id']}/{rec['request_id']}"
-            f" {rec['quantity_kw']:g} kW @ {rec['price_eur_per_kw']:g} EUR/kW"
-            f" (inject {rec['inject_bus']}, withdraw {rec['withdraw_bus']})"
+            f"  {rec.match_id}: {rec.offer_id}/{rec.request_id}"
+            f" {rec.quantity_kw:g} kW @ {rec.price_eur_per_kw:g} EUR/kW"
+            f" (inject {rec.inject_bus}, withdraw {rec.withdraw_bus})"
         )
     return 0
 

@@ -179,9 +179,16 @@ def _per_bus(rule):
     return checked
 
 
-def _records(fields):
-    """The rule for a list of records of the kind ``fields`` describes."""
-    return _list_of(lambda record, name: _checked(record, fields, name))
+def _records(fields, build=dict):
+    """The rule for a list of ``fields`` records, each read as ``build(**record)``."""
+
+    def checked(record, name: str):
+        try:
+            return build(**_checked(record, fields, name))
+        except MarketError as exc:  # a record ``build`` refuses
+            raise InputError(f"{name}: {exc}") from None
+
+    return _list_of(checked)
 
 
 class _Fields(dict):
@@ -251,8 +258,8 @@ _DUMP_MATCH_FIELDS = _Fields(
 )
 _DUMP_FIELDS = _Fields(
     **dict.fromkeys(_DUMP_COUNTERS, _whole), injection_kw=_per_bus(_dumped_number),
-    requests=_records(_DUMP_BID_FIELDS), offers=_records(_DUMP_BID_FIELDS),
-    accepted_matches=_records(_DUMP_MATCH_FIELDS), seen_ids=_list_of(_string),
+    requests=_records(_DUMP_BID_FIELDS, Bid), offers=_records(_DUMP_BID_FIELDS, Bid),
+    accepted_matches=_records(_DUMP_MATCH_FIELDS, MatchRecord), seen_ids=_list_of(_string),
 )
 # The fields of a trade-log record, in TradeLogEntry order.
 _TRADE_FIELDS = _Fields(
@@ -271,7 +278,10 @@ def load_network(path, require_feasible: bool = True):
     """
     data = _checked(_read_yaml(path, "network"), _NETWORK_FIELDS, str(path))
     buses, slack = data["buses"], data["slack_bus"]
-    network = Network(buses=buses, lines=[Line(**raw) for raw in data["lines"]], slack_bus=slack)
+    try:
+        network = Network(buses, [Line(**raw) for raw in data["lines"]], slack)
+    except NetworkError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
     injections = data.get("injection_kw") or {}
     unknown = set(injections) - set(buses)
@@ -549,11 +559,12 @@ def book_json(book: OrderBook) -> str:
 
 
 def read_book_dump(path) -> dict:
-    """Read and check a dump written by :func:`book_json`.
+    """Read and check a dump written by :func:`book_json`, as ``Bid`` and ``MatchRecord`` records.
 
     A dump that lacks a field :func:`load_book` needs, a truncated one
-    included, or that holds a mistyped or non-finite value, raises
-    :class:`InputError` naming the record.
+    included, or that holds a mistyped or non-finite value or a bid ``Bid``
+    refuses, raises :class:`InputError` naming the record. Checks across
+    records or against a network are left to :func:`load_book`.
     """
     try:
         with open(path) as handle:
@@ -580,8 +591,8 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
         book.restore(
             **{key: data[key] for key in _DUMP_COUNTERS},
             seen_ids=data["seen_ids"],
-            resting=[Bid(**raw) for raw in data["requests"] + data["offers"]],
-            accepted=[MatchRecord(**raw) for raw in data["accepted_matches"]],
+            resting=data["requests"] + data["offers"],
+            accepted=data["accepted_matches"],
         )
     except (MarketError, NetworkError) as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -612,7 +623,7 @@ def audit_trade_log(network_path, bids_path, trades_path):
         try:
             offer, request = bids[entry.offer_id], bids[entry.request_id]
         except KeyError as exc:
-            raise InputError(f"trade log names unknown bid {exc.args[0]!r}") from None
+            raise InputError(f"{trades_path}: names unknown bid {exc.args[0]!r}") from None
         inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
         if request.conditionality == UNCONDITIONAL:
             dispatch.apply_exchange(inject_bus, withdraw_bus, entry.quantity_kw)

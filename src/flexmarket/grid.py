@@ -83,7 +83,8 @@ class Network:
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "lines", tuple(self.lines))
         if len(set(self.buses)) != len(self.buses):
-            raise NetworkError("duplicate bus ids")
+            repeated = sorted({str(b) for b in self.buses if self.buses.count(b) > 1})
+            raise NetworkError(f"duplicate bus ids {repeated}")
         if not self.lines:
             raise NetworkError("a network needs at least one line")
         bus_set = set(self.buses)

@@ -13,13 +13,25 @@ re-evaluation of the resting offers, which may unlock bids that were
 previously blocked by congestion.
 
 The book is a single-writer state machine: submissions, matching and
-baseline updates are strictly serialized. Because line flows are linear
-in each activation, every policy reduces to capping the candidate
-against a small, fixed stack of flow vectors built from running sums of
-the accepted matches' flow changes; no policy enumerates subsets. The
-book reduces that stack to two per-line rooms, for a flow rise and for a
-flow fall, once per state change (an accepted conditional match or a
-baseline move), so each network check is one sensitivity column
+baseline updates are strictly serialized. Line flows are linear in each
+activation, so every policy caps the candidate against a few flow rows
+f + R: f is the baseline flow and R a running sum of the accepted
+matches' flow changes, either zero (the candidate alone), all of them
+(S), their positive or negative parts (P, N, whose rows bound a line's
+flow over every subset) or those named in scenario k (S_k). An
+unconditional candidate moves the baseline for good, so it must also
+fit without the conditional set:
+
+    policy                       conditional    unconditional
+    individual                   0              0
+    cumulative                   S              0, S
+    individual_and_cumulative    0, S           0, S
+    all_combinations             P, N           P, N
+    scenarios                    0, S_1..S_K    0, S_1..S_K
+
+The book reduces a policy's rows to two per-line rooms, for a flow rise
+and a flow fall, once per state change (an accepted conditional match or
+a baseline move), so each network check is one sensitivity column
 difference capped against cached rooms.
 """
 
@@ -62,13 +74,18 @@ CUMULATIVE = "cumulative"
 INDIVIDUAL_AND_CUMULATIVE = "individual_and_cumulative"
 ALL_COMBINATIONS = "all_combinations"
 SCENARIOS = "scenarios"
-POLICY_VARIANTS = (
-    INDIVIDUAL,
-    CUMULATIVE,
-    INDIVIDUAL_AND_CUMULATIVE,
-    ALL_COMBINATIONS,
-    SCENARIOS,
-)
+
+# Rows of OrderBook._sums: zero, S, P, N, then S_1..S_K from _SCENARIO on.
+_ALONE, _ALL, _RISE, _FALL, _SCENARIO = range(5)
+# The rows each policy checks a (conditional, unconditional) candidate against.
+_POLICY_ROWS = {
+    INDIVIDUAL: ((_ALONE,), (_ALONE,)),
+    CUMULATIVE: ((_ALL,), (_ALONE, _ALL)),
+    INDIVIDUAL_AND_CUMULATIVE: ((_ALONE, _ALL), (_ALONE, _ALL)),
+    ALL_COMBINATIONS: ((_RISE, _FALL), (_RISE, _FALL)),
+    SCENARIOS: ((_ALONE, _SCENARIO), (_ALONE, _SCENARIO)),
+}
+POLICY_VARIANTS = tuple(_POLICY_ROWS)
 
 ORDER_FIFO = "fifo"
 ORDER_BEST_PRICE = "best_price"
@@ -85,13 +102,8 @@ _SEQUENCE = attrgetter("sequence")
 class FeasibilityPolicy:
     """Which activation combinations must be line-feasible before a match.
 
-    ``individual`` checks the candidate alone on the baseline;
-    ``cumulative`` checks it on top of all accepted conditional matches
-    (an unconditional candidate also alone, as it moves the baseline);
-    ``individual_and_cumulative`` requires both; ``all_combinations``
-    checks every subset of accepted conditional matches; ``scenarios``
-    checks the supplied activation subsets (named by match id) plus,
-    always, the candidate alone.
+    The module docstring lists the flow rows of each ``variant``;
+    ``scenarios`` names, by match id, the subsets the ``scenarios`` variant checks.
     """
 
     variant: str
@@ -238,13 +250,16 @@ class OrderBook:
         self.offers: list = []
         self.accepted: list = []  # conditional MatchRecords, acceptance order
         # Running sums of the accepted matches' line-flow changes at full
-        # activation: all of them (S), their positive and negative parts
-        # (P, N), and those of each named scenario (S_k).
-        n_lines = len(network.lines)
-        self._sum, self._rise, self._fall = np.zeros((3, n_lines))
-        self._scenario_sums = np.zeros((len(policy.scenarios), n_lines))
-        # (up, down) rooms of the flow stack, filled by _rooms_for and
-        # emptied whenever the baseline flows or the running sums change.
+        # activation, one row each as the module docstring lists them.
+        self._sums = np.zeros((_SCENARIO + len(policy.scenarios), len(network.lines)))
+        # The rows of each conditionality, _SCENARIO spelt out as one row per scenario.
+        scenario_rows = tuple(range(_SCENARIO, len(self._sums)))
+        self._rows = {
+            c: sum((scenario_rows if r == _SCENARIO else (r,) for r in rows), ())
+            for c, rows in zip((CONDITIONAL, UNCONDITIONAL), _POLICY_ROWS[policy.variant])
+        }
+        # (up, down) rooms per row tuple, filled by _rooms_for and emptied
+        # whenever the baseline flows or the running sums change.
         self._rooms: dict = {}
         self.trade_log: list = []
         self.round = 0
@@ -511,10 +526,11 @@ class OrderBook:
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
         self._rooms.clear()
-        self._sum += delta
-        self._rise += np.maximum(delta, 0.0)
-        self._fall += np.minimum(delta, 0.0)
-        for total, scenario in zip(self._scenario_sums, self.policy.scenarios):
+        sums = self._sums
+        sums[_ALL] += delta
+        sums[_RISE] += np.maximum(delta, 0.0)
+        sums[_FALL] += np.minimum(delta, 0.0)
+        for total, scenario in zip(sums[_SCENARIO:], self.policy.scenarios):
             if record.match_id in scenario:
                 total += delta
 
@@ -542,41 +558,12 @@ class OrderBook:
     # ------------------------------------------------------------------
     # network checks
 
-    def _flow_stack(self, conditionality: str) -> np.ndarray:
-        """Line flows of every activation state the policy mandates, one row each.
-
-        Flows are linear in each activation, so over all subsets of the
-        accepted matches a line's flow is highest with exactly its
-        positive changes active (f+P) and lowest with its negative ones
-        (f+N): two rows cover every subset. An unconditional candidate
-        moves the baseline for good, so it must also fit without the
-        conditional set, which only ``cumulative`` would otherwise skip.
-        """
-        f = self._flows
-        variant = self.policy.variant
-        if variant == INDIVIDUAL:
-            return f[None, :]
-        if variant == CUMULATIVE and conditionality != UNCONDITIONAL:
-            return (f + self._sum)[None, :]
-        if variant in (CUMULATIVE, INDIVIDUAL_AND_CUMULATIVE):
-            return np.vstack([f, f + self._sum])
-        if variant == ALL_COMBINATIONS:
-            return np.vstack([f + self._rise, f + self._fall])
-        # scenarios: the candidate alone is always checked
-        return np.vstack([f, f + self._scenario_sums])
-
     def _rooms_for(self, conditionality: str):
-        """Cached (up, down) rooms of the flow stack a candidate is checked against.
-
-        Only ``cumulative`` checks the two conditionalities against
-        different stacks; every other policy shares one pair of rooms.
-        """
-        key = self.policy.variant == CUMULATIVE and conditionality == UNCONDITIONAL
-        rooms = self._rooms.get(key)
-        if rooms is None:
-            stack = self._flow_stack(conditionality)
-            rooms = self._rooms[key] = flow_rooms(stack, self.network.limits)
-        return rooms
+        """Cached (up, down) rooms of the flow rows a candidate is checked against."""
+        rows = self._rows[conditionality]
+        if rows not in self._rooms:
+            self._rooms[rows] = flow_rooms(self._flows + self._sums[rows, :], self.network.limits)
+        return self._rooms[rows]
 
     def _evaluate_candidate(
         self, inject_bus, withdraw_bus, quantity_kw: float, conditionality: str

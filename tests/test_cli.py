@@ -245,6 +245,83 @@ def test_book_rejects_a_truncated_dump(tmp_path, capsys):
     assert "offers[1]: missing ['original_quantity_kw']" in capsys.readouterr().err
 
 
+def fifteen_bus_dump(tmp_path, capsys):
+    """The book dump of the 15-bus replay, as JSON data, and the path it is written back to."""
+    out = tmp_path / "out"
+    args = ["run", "--network", str(DATA / "fifteen_bus.yaml")]
+    assert main(args + ["--bids", str(DATA / "bids_fifteen_bus.jsonl"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return json.loads((out / "book.json").read_text()), out / "book.json"
+
+
+def test_book_refuses_a_bid_the_book_would_refuse(tmp_path, capsys):
+    dump, path = fifteen_bus_dump(tmp_path, capsys)
+    dump["offers"][0]["direction"] = "sideways"
+    path.write_text(json.dumps(dump))
+    assert main(["book", "--book", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: offers[0]: bid offer2: unknown direction 'sideways'" in err
+    assert "Traceback" not in err
+
+
+def test_book_prints_an_offer_with_a_null_conditionality_without_it(tmp_path, capsys):
+    dump, path = fifteen_bus_dump(tmp_path, capsys)
+    dump["offers"][0]["conditionality"] = None
+    path.write_text(json.dumps(dump))
+    assert main(["book", "--book", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  offer2: down 20 kW of 40 kW @ bus 13 for 0.04 EUR/kW" in lines
+
+
+def test_check_exhaustive_names_the_trade_log_of_an_unknown_bid(tmp_path, capsys):
+    trades = tmp_path / "trades.jsonl"
+    trades.write_text(
+        json.dumps({"round": 2, "offer_id": "offer_x", "request_id": "req_a", "quantity_kw": 1.0,
+                    "price_eur_per_kw": 0.05, "outcome": "matched", "binding_lines": []})
+        + "\n"
+    )
+    args = ["check", "--network", str(DATA / "three_bus.yaml"), "--exhaustive"]
+    assert main(args + ["--bids", str(DATA / "bids_joint_overload.jsonl"),
+                        "--trades", str(trades)]) == 2
+    assert f"{trades}: names unknown bid 'offer_x'" in capsys.readouterr().err
+
+
+# network, bids, policy, golden log, exit code of `check --exhaustive` on the
+# log, and any further arguments of `run`: the individual and cumulative
+# policies admit activation subsets that overload a line, and the audit
+# must flag them (exit 1).
+GOLDEN_RUNS = [
+    ("three_bus", "bids_joint_overload", "individual", "joint_overload", 1, ()),
+    ("three_bus", "bids_congestion_relief", "cumulative", "congestion_relief_cumulative", 1, ()),
+    ("three_bus", "bids_congestion_relief", "all", "congestion_relief_all", 0, ()),
+    ("three_bus", "bids_reevaluation", "all", "reevaluation", 0, ()),
+    ("fifteen_bus", "bids_fifteen_bus", "all", "fifteen_bus", 0, ()),
+    (
+        "three_bus", "bids_congestion_relief", "scenarios", "scenarios_example", 0,
+        ("--scenarios", str(DATA / "scenarios_example.yaml")),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "network, bids, policy, golden, audit, extra", GOLDEN_RUNS, ids=[r[3] for r in GOLDEN_RUNS]
+)
+def test_cli_replays_match_the_golden_logs(
+    tmp_path, capsys, network, bids, policy, golden, audit, extra
+):
+    network, bids, out = str(DATA / f"{network}.yaml"), str(DATA / f"{bids}.jsonl"), tmp_path
+    run = ["run", "--network", network, "--bids", bids, "--policy", policy, *extra]
+    assert main(run + ["--out", str(out)]) == 0
+    assert (out / "trades.jsonl").read_bytes() == (GOLDEN / f"{golden}.trades.jsonl").read_bytes()
+    # Every dump reads back with `book` and is the very bytes json writes for its content.
+    text = (out / "book.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert main(["book", "--book", str(out / "book.json")]) == 0
+    check = ["check", "--network", network, "--exhaustive", "--bids", bids]
+    assert main(check + ["--trades", str(out / "trades.jsonl")]) == audit
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
     path = tmp_path / "net.yaml"
     path.write_text(
@@ -304,6 +381,25 @@ LABEL_CASES = [
         ),
         *LABEL_CASES,
         ("injection_kw", 'injection_kw: {2: -5, "2": -5}\n', "injection_kw names a bus twice"),
+        # Structural errors of the network itself, prefixed with the file.
+        ("buses", 'buses: [1, "1"]\n', "duplicate bus ids ['1']"),
+        (
+            "lines",
+            "lines:\n  - {from_bus: 1, to_bus: 3, reactance: 0.1, limit_kw: 5}\n",
+            "line 1-3 references an unknown bus",
+        ),
+        (
+            "lines",
+            "lines:\n  - {from_bus: 1, to_bus: 1, reactance: 0.1, limit_kw: 5}\n",
+            "line 1-1 is a self-loop",
+        ),
+        (
+            "lines",
+            "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 0}\n",
+            "line 1-2: limit_kw must be a number > 0",
+        ),
+        ("slack_bus", "slack_bus: 3\n", "slack bus '3' is not a network bus"),
+        ("buses", "buses: [1, 2, 3]\n", "network is disconnected; unreachable buses: ['3']"),
         pytest.param(
             "lines",
             f"lines:\n  - {{from_bus: 1, to_bus: 2, reactance: {HUGE}, limit_kw: 5}}\n",
@@ -346,7 +442,7 @@ def test_check_rejects_a_wrongly_typed_network_section(tmp_path, capsys, section
     assert main(args) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert str(path) in err
+    assert f"{path}: " in err
     assert "Traceback" not in err
 
 

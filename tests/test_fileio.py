@@ -425,25 +425,6 @@ class TestTradeLogRoundTrip:
         assert trade_log_lines(first.trade_log) == trade_log_lines(second.trade_log)
 
 
-class TestGoldenLogs:
-    @pytest.mark.parametrize(
-        "network_file, bids_file, policy, golden",
-        [
-            ("three_bus.yaml", "bids_joint_overload.jsonl", "individual", "joint_overload"),
-            ("three_bus.yaml", "bids_congestion_relief.jsonl", "cumulative", "congestion_relief_cumulative"),
-            ("three_bus.yaml", "bids_congestion_relief.jsonl", "all", "congestion_relief_all"),
-            ("three_bus.yaml", "bids_reevaluation.jsonl", "all", "reevaluation"),
-            ("fifteen_bus.yaml", "bids_fifteen_bus.jsonl", "all", "fifteen_bus"),
-        ],
-    )
-    def test_replay_matches_the_expected_log(self, network_file, bids_file, policy, golden):
-        from conftest import GOLDEN
-
-        book = run_replay(DATA / network_file, DATA / bids_file, MarketConfig(policy=policy))
-        produced = "\n".join(trade_log_lines(book.trade_log)) + "\n"
-        assert produced == (GOLDEN / f"{golden}.trades.jsonl").read_text()
-
-
 class TestBookRoundTrip:
     def test_dump_reload_dump_is_identical(self, tmp_path):
         config = MarketConfig()

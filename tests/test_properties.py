@@ -50,6 +50,9 @@ from flexmarket.grid import ALPHA_TOL, DOWN, UP
 from flexmarket.market import (
     ALL_COMBINATIONS,
     CONDITIONAL,
+    CUMULATIVE,
+    INDIVIDUAL,
+    INDIVIDUAL_AND_CUMULATIVE,
     ORDER_BEST_PRICE,
     ORDER_FIFO,
     OUTCOME_MATCHED,
@@ -328,6 +331,32 @@ def test_clearing_invariants_on_random_streams(case, raw):
             assert allowed == 0.0
 
 
+def policy_states(policy, conditionality, ids, scenarios):
+    """The activation states, as match ids, that a policy checks a candidate on.
+
+    Written from the policies' definitions, not from the engine's flow
+    rows: the candidate alone, on all accepted matches, on each scenario's
+    accepted matches or on every subset; an unconditional candidate moves
+    the baseline for good, so it is always checked alone too.
+    """
+    states = {
+        INDIVIDUAL: [[]],
+        CUMULATIVE: [ids],
+        INDIVIDUAL_AND_CUMULATIVE: [[], ids],
+        ALL_COMBINATIONS: [
+            [i for bit, i in enumerate(ids) if mask >> bit & 1] for mask in range(1 << len(ids))
+        ],
+        SCENARIOS: [[]] + [[i for i in ids if i in scenario] for scenario in scenarios],
+    }[policy]
+    return states + [[]] if conditionality == UNCONDITIONAL else states
+
+
+#: More than any line of a ``tree_cases`` network carries, so the caps decide.
+UNCAPPED_KW = 1e4
+
+
+@pytest.mark.parametrize("conditionality", [CONDITIONAL, UNCONDITIONAL])
+@pytest.mark.parametrize("policy", POLICY_VARIANTS)
 @settings(max_examples=40, deadline=None)
 @given(
     tree_cases(),
@@ -336,14 +365,29 @@ def test_clearing_invariants_on_random_streams(case, raw):
         min_size=2,
         max_size=24,
     ),
-    st.integers(0, 10 ** 6),
-    st.integers(0, 10 ** 6),
-    st.sampled_from(["up", "down"]),
-    st.floats(1.0, 150.0),
+    st.lists(
+        st.sets(st.sampled_from([f"m{k}" for k in range(1, 13)]), min_size=1),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(0, 10 ** 6),
+            st.integers(0, 10 ** 6),
+            st.sampled_from(["up", "down"]),
+            st.floats(1.0, 150.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
-def test_all_combinations_check_equals_brute_force(case, raw, req_pick, off_pick, direction, quantity):
+def test_the_check_equals_brute_force_over_the_policy_states(
+    policy, conditionality, case, raw, scenarios, candidates
+):
     network, dispatch = case
-    book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS))
+    book = OrderBook(
+        network, dispatch, FeasibilityPolicy(policy, scenarios if policy == SCENARIOS else ())
+    )
     # Conditional requests alternate with offers whose prices always cross,
     # so most pairs clear and the accepted set pulls lines both ways.
     for i, (bid_direction, bus_pick, bid_quantity) in enumerate(raw):
@@ -361,25 +405,45 @@ def test_all_combinations_check_equals_brute_force(case, raw, req_pick, off_pick
                 "conditional" if is_request else None,
             )
         )
-    request_bus = network.buses[req_pick % len(network.buses)]
-    offer_bus = network.buses[off_pick % len(network.buses)]
+    buses = network.buses
+    exchanges = [
+        (buses[req_pick % len(buses)], buses[off_pick % len(buses)], direction, quantity)
+        for req_pick, off_pick, direction, quantity in candidates
+    ]
+    # Each accepted match repeated and reversed, uncapped, so the caps bind
+    # on the match's own lines, where the sums it entered differ the most.
+    exchanges += [
+        (*pair, UP, UNCAPPED_KW)
+        for m in book.accepted
+        for pair in ((m.withdraw_bus, m.inject_bus), (m.inject_bus, m.withdraw_bus))
+    ]
 
-    # Brute force: the candidate's own cap on every one of the 2^M
-    # activation states of the accepted matches, then the smallest.
     ids = [m.match_id for m in book.accepted]
-    brute = min(
-        max_tradable_quantity(
-            network,
-            book.activation_snapshot([i for bit, i in enumerate(ids) if mask >> bit & 1]),
-            request_bus,
-            offer_bus,
-            direction,
-            quantity,
+    for k, (request_bus, offer_bus, direction, quantity) in enumerate(exchanges):
+        # Brute force: the candidate's own cap on every activation state the
+        # policy names, each solved on its own snapshot, then the smallest.
+        brute = min(
+            max_tradable_quantity(
+                network, book.activation_snapshot(state), request_bus, offer_bus, direction,
+                quantity,
+            )
+            for state in policy_states(policy, conditionality, ids, scenarios)
         )
-        for mask in range(1 << len(ids))
-    )
-    closed_form = book.check_combination_feasibility(request_bus, offer_bus, direction, quantity)
-    assert abs(closed_form - brute) <= BRUTE_FORCE_TOL_KW
+        if conditionality == CONDITIONAL:
+            checked = book.check_combination_feasibility(
+                request_bus, offer_bus, direction, quantity
+            )
+        else:
+            # Clear an unconditional request against a lone offer of the same quantity.
+            for bid in book.requests + book.offers:
+                book.cancel_bid(bid.id)
+            book.submit_bid(Bid(f"o{k}", "offer", direction, offer_bus, quantity, 0.04))
+            matches = book.submit_bid(
+                Bid(f"r{k}", "request", direction, request_bus, quantity, 0.05, UNCONDITIONAL)
+            )
+            checked = matches[0].quantity_kw if matches else 0.0
+            assert matches or book.trade_log[-1].outcome == OUTCOME_REJECTED_CONGESTION
+        assert abs(checked - brute) <= BRUTE_FORCE_TOL_KW
 
 
 @settings(max_examples=40, deadline=None)
