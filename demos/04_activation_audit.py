@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_bid_stream, random_network  # noqa: E402
 
 from flexmarket import (  # noqa: E402
-    FeasibilityPolicy,
     OrderBook,
     exchange_buses,
     max_tradable_quantity,
@@ -27,7 +26,7 @@ rng = np.random.default_rng(7)
 print("Random clearings under all_combinations, audited subset by subset")
 for i in range(5):
     network, baseline = random_network(rng, max_buses=12)
-    book = OrderBook(network, baseline, FeasibilityPolicy("all_combinations"))
+    book = OrderBook(network, baseline, "all_combinations")
     for bid in random_bid_stream(rng, network, n_bids=12):
         book.submit_bid(bid)
     reports = exhaustive_subset_check(network, book.baseline, book.accepted)

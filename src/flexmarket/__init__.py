@@ -53,7 +53,6 @@ from .market import (
     SCENARIOS,
     UNCONDITIONAL,
     Bid,
-    FeasibilityPolicy,
     MatchRecord,
     OrderBook,
     TradeLogEntry,
@@ -69,7 +68,6 @@ __all__ = [
     "CUMULATIVE",
     "DOWN",
     "DispatchState",
-    "FeasibilityPolicy",
     "FlexMarketError",
     "INDIVIDUAL",
     "INDIVIDUAL_AND_CUMULATIVE",

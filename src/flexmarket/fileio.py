@@ -45,12 +45,10 @@ from .market import (
     ORDER_FIFO,
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
-    POLICY_VARIANTS,
     REQUEST,
     SCENARIOS,
     UNCONDITIONAL,
     Bid,
-    FeasibilityPolicy,
     MatchRecord,
     OrderBook,
     TradeLogEntry,
@@ -73,7 +71,7 @@ POLICY_ALIASES = {
 
 @dataclass
 class MarketConfig:
-    """Replay configuration; mirrors the CLI flags."""
+    """Replay configuration; mirrors the CLI flags. The book checks the policy name."""
 
     policy: str = ALL_COMBINATIONS
     scenarios_path: Optional[str] = None
@@ -81,8 +79,6 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         self.policy = POLICY_ALIASES.get(self.policy, self.policy)
-        if self.policy not in POLICY_VARIANTS:
-            raise InputError(f"unknown policy {self.policy!r}")
         if self.policy == SCENARIOS and self.scenarios_path is None:
             raise InputError("the scenarios policy needs a scenarios file")
         if self.policy != SCENARIOS and self.scenarios_path is not None:
@@ -364,14 +360,10 @@ def load_scenarios(path) -> tuple:
     return tuple(map(frozenset, scenarios))
 
 
-def build_policy(config: MarketConfig) -> FeasibilityPolicy:
-    if config.policy == SCENARIOS:
-        return FeasibilityPolicy(SCENARIOS, load_scenarios(config.scenarios_path))
-    return FeasibilityPolicy(config.policy)
-
-
 def new_book(network, baseline, config: MarketConfig) -> OrderBook:
-    return OrderBook(network, baseline, build_policy(config), order=config.order)
+    path = config.scenarios_path
+    scenarios = load_scenarios(path) if path is not None else ()
+    return OrderBook(network, baseline, config.policy, scenarios=scenarios, order=config.order)
 
 
 def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> OrderBook:

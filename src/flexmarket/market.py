@@ -20,7 +20,9 @@ matches' flow changes, either zero (the candidate alone), all of them
 (S), their positive or negative parts (P, N, whose rows bound a line's
 flow over every subset) or those named in scenario k (S_k). An
 unconditional candidate moves the baseline for good, so it must also
-fit without the conditional set:
+fit without the conditional set. A book is built with one policy name
+from this table, and the ``scenarios`` policy alone with its scenarios,
+each a set of match ids:
 
     policy                       conditional    unconditional
     individual                   0              0
@@ -96,28 +98,6 @@ OUTCOME_PARTIAL = "partial(congestion)"
 OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 
 _SEQUENCE = attrgetter("sequence")
-
-
-@dataclass(frozen=True)
-class FeasibilityPolicy:
-    """Which activation combinations must be line-feasible before a match.
-
-    The module docstring lists the flow rows of each ``variant``;
-    ``scenarios`` names, by match id, the subsets the ``scenarios`` variant checks.
-    """
-
-    variant: str
-    scenarios: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.variant not in POLICY_VARIANTS:
-            raise MarketError(f"unknown policy variant {self.variant!r}")
-        if self.variant == SCENARIOS:
-            if not self.scenarios:
-                raise MarketError("scenarios policy requires a non-empty scenario list")
-            object.__setattr__(
-                self, "scenarios", tuple(frozenset(s) for s in self.scenarios)
-            )
 
 
 @dataclass(slots=True)
@@ -218,6 +198,12 @@ class TradeLogEntry(NamedTuple):
 class OrderBook:
     """Order book plus clearing state for one network and one policy.
 
+    ``policy`` is one of :data:`POLICY_VARIANTS`, checked by the rows the
+    module docstring lists. ``scenarios`` are the activation subsets the
+    ``scenarios`` policy checks, each a collection of match ids, and no
+    other policy takes any. ``order`` is one of :data:`ORDERS`. A bad
+    configuration raises :class:`MarketError`.
+
     The baseline dispatch is mutated only by matches with unconditional
     requests and stays line-feasible at all times; accepted conditional
     matches are kept aside and enter the combination sets of later
@@ -228,18 +214,30 @@ class OrderBook:
         self,
         network: Network,
         baseline: DispatchState,
-        policy: FeasibilityPolicy,
+        policy: str,
         *,
+        scenarios: Iterable = (),
         order: str = ORDER_FIFO,
     ):
         if order not in ORDERS:
             raise MarketError(f"unknown counterparty order {order!r}")
+        if policy not in POLICY_VARIANTS:
+            raise MarketError(f"unknown policy variant {policy!r}")
+        scenarios = tuple(scenarios)
+        for scenario in scenarios:
+            if isinstance(scenario, str):
+                raise MarketError(f"a scenario is a collection of match ids, not {scenario!r}")
+        if policy != SCENARIOS and scenarios:
+            raise MarketError(f"only the scenarios policy takes scenarios, not {policy}")
+        if policy == SCENARIOS and not scenarios:
+            raise MarketError("scenarios policy requires a non-empty scenario list")
         unknown = set(baseline.injection_kw) - set(network.buses)
         if unknown:
             raise UnknownBusError(f"baseline names unknown buses: {sorted(map(str, unknown))}")
 
         self.network = network
         self.policy = policy
+        self.scenarios = tuple(map(frozenset, scenarios))
         self.order = order
 
         self.ptdf = build_ptdf(network)
@@ -251,19 +249,18 @@ class OrderBook:
         self.accepted: list = []  # conditional MatchRecords, acceptance order
         # Running sums of the accepted matches' line-flow changes at full
         # activation, one row each as the module docstring lists them.
-        self._sums = np.zeros((_SCENARIO + len(policy.scenarios), len(network.lines)))
+        self._sums = np.zeros((_SCENARIO + len(self.scenarios), len(network.lines)))
         # The rows of each conditionality, _SCENARIO spelt out as one row per scenario.
         scenario_rows = tuple(range(_SCENARIO, len(self._sums)))
         self._rows = {
             c: sum((scenario_rows if r == _SCENARIO else (r,) for r in rows), ())
-            for c, rows in zip((CONDITIONAL, UNCONDITIONAL), _POLICY_ROWS[policy.variant])
+            for c, rows in zip((CONDITIONAL, UNCONDITIONAL), _POLICY_ROWS[policy])
         }
         # (up, down) rooms per row tuple, filled by _rooms_for and emptied
         # whenever the baseline flows or the running sums change.
         self._rooms: dict = {}
         self.trade_log: list = []
         self.round = 0
-        self._sequence = 0
         self._match_counter = 0
         self._seen_ids: set = set()
 
@@ -290,9 +287,9 @@ class OrderBook:
         to the next arrival number, whatever the caller put there.
         """
         self._validate_bid(bid)
-        self._sequence = bid.sequence = self._sequence + 1
-        self._seen_ids.add(bid.id)
         self.round += 1
+        bid.sequence = self.round
+        self._seen_ids.add(bid.id)
         (self.offers if bid.side == OFFER else self.requests).append(bid)
 
         matches = self._try_match(bid)
@@ -310,8 +307,7 @@ class OrderBook:
         while True:
             pass_matches: list = []
             for offer in list(self.offers):
-                if offer.quantity_kw > 0:
-                    pass_matches += self._try_match(offer)
+                pass_matches += self._try_match(offer)
             new_matches += pass_matches
             if not any(rec.conditionality == UNCONDITIONAL for rec in pass_matches):
                 return new_matches
@@ -356,15 +352,15 @@ class OrderBook:
         """The book's state as the keywords :meth:`restore` takes.
 
         ``restore(**snapshot())`` on a fresh book with the same network,
-        baseline and policy resumes this one. The resting bids, requests
-        then offers, each in sequence order, are the book's own objects,
-        which later clearing changes: read them before the book clears
-        again. :meth:`restore` copies them, so the two books share no
-        mutable state.
+        baseline, policy and scenarios resumes this one. The resting bids,
+        requests then offers, each in sequence order, are the book's own
+        objects, which later clearing changes: read them before the book
+        clears again. :meth:`restore` copies them, so the two books share
+        no mutable state.
         """
         return {
             "round": self.round,
-            "sequence": self._sequence,
+            "sequence": self.round,
             "match_counter": self._match_counter,
             "seen_ids": set(self._seen_ids),
             "resting": self.requests + self.offers,
@@ -389,7 +385,8 @@ class OrderBook:
         the conditional matches in acceptance order. Raises
         :class:`MarketError` for a state the book could not have
         reached: duplicate bid ids, sequence numbers or match ids, a
-        sequence number after ``sequence``, an accepted match that is
+        sequence number after ``sequence``, a ``round`` other than
+        ``sequence`` (each submission counts both), an accepted match that is
         not conditional or whose id ``m<N>`` has N above
         ``match_counter``, or a bid or match on an unknown bus. Every input
         is checked before the book changes, so a failed restore leaves
@@ -427,10 +424,11 @@ class OrderBook:
             raise MarketError(
                 f"bid {resting[-1].id}: sequence {resting[-1].sequence} is after {sequence}"
             )
+        if round != sequence:
+            raise MarketError(f"round {round} and sequence {sequence} differ")
         seen_ids = set(seen_ids).union(bid.id for bid in resting)
 
         self.round = round
-        self._sequence = sequence
         self._match_counter = match_counter
         self._seen_ids = seen_ids
         for bid in resting:
@@ -476,8 +474,6 @@ class OrderBook:
         for other in self._counterparties(incoming):
             if incoming.quantity_kw <= 0:
                 break
-            if other.quantity_kw <= 0:
-                continue
             offer, request = (incoming, other) if incoming.side == OFFER else (other, incoming)
             # Pay as bid: the earlier of the two sets the price.
             price = (offer if offer.sequence < request.sequence else request).price_eur_per_kw
@@ -530,7 +526,7 @@ class OrderBook:
         sums[_ALL] += delta
         sums[_RISE] += np.maximum(delta, 0.0)
         sums[_FALL] += np.minimum(delta, 0.0)
-        for total, scenario in zip(sums[_SCENARIO:], self.policy.scenarios):
+        for total, scenario in zip(sums[_SCENARIO:], self.scenarios):
             if record.match_id in scenario:
                 total += delta
 

@@ -13,7 +13,6 @@ import pytest
 
 from flexmarket import (
     DispatchState,
-    FeasibilityPolicy,
     MarketConfig,
     OrderBook,
     build_ptdf,
@@ -246,7 +245,7 @@ def test_a4_rejections_are_reproducible():
     # book state right after the event that logged it, yields zero.
     network, baseline = load_network(DATA / "fifteen_bus.yaml")
     bids = {b.id: b for b in load_bids(DATA / "bids_fifteen_bus.jsonl")}
-    book = OrderBook(network, baseline, FeasibilityPolicy(ALL_COMBINATIONS))
+    book = OrderBook(network, baseline, ALL_COMBINATIONS)
     checked = 0
     for bid in bids.values():
         seen = len(book.trade_log)
@@ -300,7 +299,7 @@ def test_a6_all_combinations_clearing_is_activation_safe():
     accepted_counts = []
     while instances < 200:
         network, base = random_network(rng, max_buses=15)
-        book = OrderBook(network, base, FeasibilityPolicy(ALL_COMBINATIONS))
+        book = OrderBook(network, base, ALL_COMBINATIONS)
         for bid in random_bid_stream(rng, network, n_bids=14):
             book.submit_bid(bid)
             if len(book.accepted) >= 10:

@@ -72,6 +72,13 @@ def test_check_infeasible_baseline_exit_code(tmp_path, capsys):
     assert "line 1-2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", [(), ("--bids", "b.jsonl"), ("--trades", "t.jsonl")])
+def test_check_exhaustive_needs_bids_and_trades(capsys, given):
+    args = ["check", "--network", str(DATA / "three_bus.yaml"), "--exhaustive", *given]
+    assert main(args) == 2
+    assert "error: --exhaustive needs --bids and --trades" in capsys.readouterr().err
+
+
 def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
     out = tmp_path / "out"
     assert (
@@ -207,13 +214,19 @@ def test_a_subnormal_reactance_exits_2_without_a_traceback(tmp_path):
         assert done.stderr == "error: PTDF has non-finite entries; check the line reactances\n"
 
 
-def test_ptdf_dump(capsys):
-    assert main(["ptdf", "--network", str(DATA / "three_bus.yaml")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+def test_ptdf_dump(tmp_path, capsys):
+    args = ["ptdf", "--network", str(DATA / "three_bus.yaml")]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    lines = text.strip().splitlines()
     assert lines[0] == "line,1,2,3"
     assert lines[1].startswith("1-2,")
     row = [float(v) for v in lines[1].split(",")[1:]]
     assert row == pytest.approx([0.0, -1.0, -1.0])
+    # --out writes the very text that stdout gets, and prints nothing.
+    assert main(args + ["--out", str(tmp_path / "ptdf.csv")]) == 0
+    assert (tmp_path / "ptdf.csv").read_text() == text
+    assert capsys.readouterr().out == ""
 
 
 def test_book_pretty_print(tmp_path, capsys):
@@ -383,6 +396,7 @@ LABEL_CASES = [
         ("injection_kw", 'injection_kw: {2: -5, "2": -5}\n', "injection_kw names a bus twice"),
         # Structural errors of the network itself, prefixed with the file.
         ("buses", 'buses: [1, "1"]\n', "duplicate bus ids ['1']"),
+        ("lines", "lines: []\n", "a network needs at least one line"),
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 3, reactance: 0.1, limit_kw: 5}\n",

@@ -262,9 +262,10 @@ class TestLoadBids:
         path = tmp_path / "bids.jsonl"
         path.write_text(
             '{"id": "a", "side": "offer", "direction": "up", "bus": 1, '
-            '"quantity_kw": 5, "price_eur_per_kw": 0.1}\n{oops\n'
+            '"quantity_kw": 5, "price_eur_per_kw": 0.1}\n  \n{oops\n'
         )
-        with pytest.raises(InputError, match=":2: invalid JSON"):
+        # The blank line is skipped, not read as JSON, and still counted.
+        with pytest.raises(InputError, match=":3: invalid JSON"):
             load_bids(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -322,8 +323,8 @@ class TestLoadBids:
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe\x00{", ("1" * 5000).encode()],
-    ids=["not-utf-8", "integer-too-long-to-convert"],
+    [b"\xff\xfe\x00{", ("1" * 5000).encode(), None],
+    ids=["not-utf-8", "integer-too-long-to-convert", "missing"],
 )
 @pytest.mark.parametrize(
     "load",
@@ -338,7 +339,8 @@ class TestLoadBids:
 )
 def test_unreadable_text_is_an_input_error(tmp_path, load, content):
     path = tmp_path / "input"
-    path.write_bytes(content)
+    if content is not None:  # None: there is no file
+        path.write_bytes(content)
     with pytest.raises(InputError):
         load(path)
 
@@ -548,6 +550,10 @@ class TestBookRoundTrip:
                 "duplicate sequence number",
             ),
             (lambda d: d.update(sequence=1), "is after 1"),
+            (
+                lambda d: d.update(round=d["round"] + 1),
+                r"book\.json: round \d+ and sequence \d+ differ",
+            ),
             (lambda d: d["offers"][0].update(bus="99"), "unknown bus '99'"),
             (
                 lambda d: d["injection_kw"].update({"99": 0.0}),

@@ -7,7 +7,6 @@ import pytest
 
 from flexmarket import (
     DispatchState,
-    FeasibilityPolicy,
     Line,
     MarketError,
     Network,
@@ -268,6 +267,10 @@ class TestMaxTradableQuantity:
         network, dispatch = three_bus
         with pytest.raises(MarketError, match="quantity_kw must be positive"):
             max_tradable_quantity(network, dispatch, "2", "3", "down", 0.0)
+        with pytest.raises(MarketError, match="candidate quantity must be positive"):
+            OrderBook(network, dispatch, INDIVIDUAL).check_combination_feasibility(
+                "2", "3", "down", 0.0
+            )
         with pytest.raises(UnknownBusError):
             max_tradable_quantity(network, dispatch, "2", "9", "down", 5.0)
         with pytest.raises(MarketError, match="unknown direction 'sideways'"):
@@ -302,7 +305,7 @@ class TestMaxTradableQuantity:
     ):
         network, _ = three_bus
         dispatch = DispatchState({"1": 40.0 - headroom, "2": -20.0, "3": -20.0 + headroom})
-        book = OrderBook(network, dispatch, FeasibilityPolicy(INDIVIDUAL))
+        book = OrderBook(network, dispatch, INDIVIDUAL)
         grid_quantity = max_tradable_quantity(
             network, dispatch, request_bus, offer_bus, direction, quantity
         )

@@ -5,7 +5,6 @@ import pytest
 from flexmarket import (
     Bid,
     DispatchState,
-    FeasibilityPolicy,
     Line,
     MarketError,
     MatchRecord,
@@ -44,8 +43,6 @@ def accepted_match(match_id, withdraw_bus="3", conditionality="conditional"):
 
 def make_book(three_bus, policy=ALL_COMBINATIONS, **kwargs):
     network, dispatch = three_bus
-    if isinstance(policy, str):
-        policy = FeasibilityPolicy(policy)
     return OrderBook(network, dispatch, policy, **kwargs)
 
 
@@ -235,7 +232,7 @@ class TestReevaluation:
             slack_bus="1",
         )
         baseline = DispatchState({"1": 30.0, "2": 0.0, "3": 0.0, "4": -30.0})
-        book = OrderBook(network, baseline, FeasibilityPolicy(ALL_COMBINATIONS))
+        book = OrderBook(network, baseline, ALL_COMBINATIONS)
         book.submit_bid(request("r_cond", "down", "3", 10, 0.05, "conditional"))
         assert book.submit_bid(offer("o_blocked", "down", "4", 10, 0.045)) == []
         book.submit_bid(request("r_unc", "up", "3", 10, 0.05, "unconditional"))
@@ -289,23 +286,33 @@ class TestCombinationFeasibility:
     def test_scenarios_policy_always_checks_the_candidate_alone(self, three_bus):
         # The scenario list names no matches at all, yet a candidate that
         # congests line 2-3 on its own must still be rejected.
-        book = make_book(three_bus, policy=FeasibilityPolicy(SCENARIOS, (frozenset(),)))
+        book = make_book(three_bus, policy=SCENARIOS, scenarios=[[]])
         book.submit_bid(request("r1", "down", "2", 20, 0.05))
         assert book.submit_bid(offer("o1", "down", "3", 20, 0.045)) == []
         assert book.trade_log[-1].outcome == OUTCOME_REJECTED_CONGESTION
 
     def test_scenarios_policy_applies_named_subsets(self, three_bus):
-        scenarios = FeasibilityPolicy(SCENARIOS, (frozenset({"m1"}),))
-        book = make_book(three_bus, policy=scenarios)
+        book = make_book(three_bus, policy=SCENARIOS, scenarios=[["m1"]])
+        assert book.scenarios == (frozenset({"m1"}),)
         book.submit_bid(request("r1", "down", "1", 10, 0.05))
         book.submit_bid(offer("o1", "down", "2", 10, 0.045))
         assert [m.match_id for m in book.accepted] == ["m1"]
         # the m1 scenario claims 10 kW of line 1-2, leaving 10 of 20
         assert book.check_combination_feasibility("2", "1", "up", 20.0) == pytest.approx(10.0)
 
-    def test_scenario_policy_requires_scenarios(self):
-        with pytest.raises(MarketError):
-            FeasibilityPolicy(SCENARIOS)
+    @pytest.mark.parametrize(
+        "policy, kwargs, message",
+        [
+            ("bogus", {}, "unknown policy variant 'bogus'"),
+            (INDIVIDUAL, {"scenarios": [["m1"]]}, "only the scenarios policy takes scenarios"),
+            (SCENARIOS, {}, "requires a non-empty scenario list"),
+            (SCENARIOS, {"scenarios": ["m1"]}, "collection of match ids, not 'm1'"),
+            (ALL_COMBINATIONS, {"order": "lifo"}, "unknown counterparty order 'lifo'"),
+        ],
+    )
+    def test_a_bad_configuration_is_refused(self, three_bus, policy, kwargs, message):
+        with pytest.raises(MarketError, match=message):
+            make_book(three_bus, policy=policy, **kwargs)
 
     def test_cumulative_checks_an_unconditional_candidate_alone_too(self, three_bus):
         # The conditional r1/o1 relieves line 2-3 to 10 kW, but only if it
@@ -328,7 +335,7 @@ class TestCombinationFeasibility:
     @pytest.mark.parametrize("policy", [CUMULATIVE, ALL_COMBINATIONS])
     def test_the_check_follows_every_state_change(self, policy):
         network, baseline = load_network(DATA / "three_bus.yaml")
-        book = OrderBook(network, baseline, FeasibilityPolicy(policy))
+        book = OrderBook(network, baseline, policy)
         # An up exchange from bus 1 to bus 2 loads line 1-2 (40 of 60 kW).
         assert book.check_combination_feasibility("2", "1", "up", 30.0) == 20.0
         book.submit_bid(request("r1", "up", "2", 10, 0.05))

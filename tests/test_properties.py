@@ -18,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 from flexmarket import (
     Bid,
     DispatchState,
-    FeasibilityPolicy,
     InfeasibleBaselineError,
     InputError,
     Line,
@@ -289,7 +288,7 @@ def build_bids(raw, network):
 @given(tree_cases(), bid_stream_strategy())
 def test_clearing_invariants_on_random_streams(case, raw):
     network, dispatch = case
-    book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS))
+    book = OrderBook(network, dispatch, ALL_COMBINATIONS)
     bids = build_bids(raw, network)
     for bid in bids:
         book.submit_bid(bid)
@@ -386,7 +385,7 @@ def test_the_check_equals_brute_force_over_the_policy_states(
 ):
     network, dispatch = case
     book = OrderBook(
-        network, dispatch, FeasibilityPolicy(policy, scenarios if policy == SCENARIOS else ())
+        network, dispatch, policy, scenarios=scenarios if policy == SCENARIOS else ()
     )
     # Conditional requests alternate with offers whose prices always cross,
     # so most pairs clear and the accepted set pulls lines both ways.
@@ -485,7 +484,7 @@ def test_parallel_evaluation_is_equivalent(case, raw):
     network, dispatch = case
 
     def replay(slot):
-        book = OrderBook(network, dispatch, FeasibilityPolicy(ALL_COMBINATIONS))
+        book = OrderBook(network, dispatch, ALL_COMBINATIONS)
         for bid in build_bids(raw, network):
             book.submit_bid(bid)
         logs[slot] = book.trade_log
@@ -583,7 +582,7 @@ def dumped_books(draw):
     empty, and a bid may hold ``None`` where a dump leaves a field out.
     """
     network, baseline = load_network(DATA / "three_bus.yaml")
-    book = OrderBook(network, baseline, FeasibilityPolicy(ALL_COMBINATIONS))
+    book = OrderBook(network, baseline, ALL_COMBINATIONS)
     buses = st.sampled_from(network.buses)
     resting = []
     for sequence, bid_id in enumerate(draw(st.lists(log_ids, unique=True, max_size=6)), 1):
@@ -614,9 +613,10 @@ def dumped_books(draw):
         )
         for match_id in draw(st.lists(log_ids, unique=True, max_size=4))
     ]
+    arrivals = len(resting) + draw(st.integers(0, 2 ** 40))  # each submission counts both
     book.restore(
-        round=draw(st.integers(0, 2 ** 40)),
-        sequence=len(resting) + draw(st.integers(0, 2 ** 40)),
+        round=arrivals,
+        sequence=arrivals,
         match_counter=draw(st.integers(0, 2 ** 40)),
         seen_ids=draw(st.lists(log_ids, max_size=6)),
         resting=resting,
