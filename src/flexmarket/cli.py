@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: ``run`` replays a bid file against a network, ``check``
-validates a network and optionally audits every activation subset of a
-trade log, ``ptdf`` dumps the sensitivity matrix, ``book``
-pretty-prints an order book dump. Exit codes: 0 clean, 2 input error,
-3 infeasible baseline (1 for a failed exhaustive audit).
+validates a network and its baseline and, given ``--bids`` and
+``--trades``, audits every activation subset of the trade log,
+``ptdf`` dumps the sensitivity matrix, ``book`` pretty-prints an order
+book dump. Exit codes: 0 clean, 1 an audit that finds a violating
+subset, 2 input error, 3 infeasible baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .fileio import (
     run_replay,
     trade_log_lines,
 )
-from .grid import build_ptdf, line_flows
+from .grid import build_ptdf, check_baseline
 from .market import ORDER_FIFO, ORDERS
 
 
@@ -48,12 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="directory for trades.jsonl and book.json")
     run.set_defaults(func=cmd_run)
 
-    check = sub.add_parser("check", help="validate a network file and its baseline")
+    check = sub.add_parser("check", help="validate a network and its baseline; audit a log")
     check.add_argument("--network", required=True)
-    check.add_argument("--exhaustive", action="store_true",
-                       help="audit a trade log against every activation subset")
     check.add_argument("--bids", help="bid stream the trade log refers to")
-    check.add_argument("--trades", help="trade log to audit")
+    check.add_argument("--trades", help="trade log to audit against every activation subset")
     check.set_defaults(func=cmd_check)
 
     ptdf = sub.add_parser("ptdf", help="dump the PTDF matrix as CSV")
@@ -85,16 +84,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if (args.bids is None) != (args.trades is None):
+        raise InputError("auditing a trade log needs both --bids and --trades")
     network, baseline = load_network(args.network)
-    flows = line_flows(build_ptdf(network), baseline)
+    flows = check_baseline(network, baseline)
     print(f"{len(network.buses)} buses, {len(network.lines)} lines, slack {network.slack_bus}")
     for label, line, flow in zip(network.line_labels, network.lines, flows):
         print(f"  line {label}: flow {flow:10.3f} kW, limit {line.limit_kw:10.3f} kW")
     print("baseline feasible")
-    if not args.exhaustive:
+    if args.trades is None:
         return 0
-    if not (args.bids and args.trades):
-        raise InputError("--exhaustive needs --bids and --trades")
     reports = audit_trade_log(args.network, args.bids, args.trades)
     if not reports:
         print("exhaustive audit clean: every activation subset stays within limits")
@@ -106,8 +105,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ptdf(args) -> int:
-    network, _ = load_network(args.network, require_feasible=False)
-    ptdf = build_ptdf(network)
+    ptdf = build_ptdf(load_network(args.network)[0])
     rows = ["line," + ",".join(str(b) for b in ptdf.buses)]
     for label, row in zip(ptdf.line_labels, ptdf.matrix):
         rows.append(label + "," + ",".join(f"{v:.12g}" for v in row))

@@ -26,7 +26,6 @@ from typing import Optional
 import yaml
 
 from .errors import InputError, MarketError, NetworkError
-# build_ptdf is not called here, but bench/tracing.py wraps fileio.build_ptdf by name.
 from .grid import (
     QUANTITY_TOL,
     DispatchState,
@@ -264,18 +263,20 @@ _TRADE_FIELDS = _Fields(
 )
 
 
-def load_network(path, require_feasible: bool = True):
+def load_network(path):
     """Read a network file; return the network and its slack-balanced baseline.
 
     The slack injection may be omitted and is then set to the negative
     sum of all other injections; if present it must already balance.
-    Missing non-slack entries default to zero. Unless disabled, the
-    baseline must violate no line limit.
+    Missing non-slack entries default to zero. The PTDF is solved here,
+    so a network without a usable one raises :class:`NetworkError`
+    naming the file; the line limits are left for a book to check.
     """
     data = _checked(_read_yaml(path, "network"), _NETWORK_FIELDS, str(path))
     buses, slack = data["buses"], data["slack_bus"]
     try:
         network = Network(buses, [Line(**raw) for raw in data["lines"]], slack)
+        build_ptdf(network)
     except NetworkError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -292,11 +293,7 @@ def load_network(path, require_feasible: bool = True):
             f"{path}: injections sum to {injections[slack] + others:g} kW, not zero"
         )
     injections[slack] = -others
-    dispatch = DispatchState(injection_kw=injections)
-
-    if require_feasible:
-        check_baseline(network, dispatch)
-    return network, dispatch
+    return network, DispatchState(injection_kw=injections)
 
 
 def _read_yaml(path, what: str):
@@ -370,13 +367,12 @@ def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> O
     """Feed a bid file through the market in file order; return the book.
 
     Optionally writes ``trades.jsonl`` and ``book.json`` under
-    ``out_dir``. A load or validation problem raises its
+    ``out_dir``. The book, which checks the baseline, is built before the
+    bids are read. A load or validation problem raises its
     :class:`FlexMarketError`, and nothing is written.
     """
-    network, baseline = load_network(network_path)
-    bids = load_bids(bids_path)
-    book = new_book(network, baseline, config)
-    for bid in bids:
+    book = new_book(*load_network(network_path), config)
+    for bid in load_bids(bids_path):
         book.submit_bid(bid)
 
     if out_dir is not None:
@@ -603,9 +599,11 @@ def audit_trade_log(network_path, bids_path, trades_path):
     activation subsets of every line with the independent oracle
     (:func:`~flexmarket.oracle.worst_subset_check`), which covers all
     subsets for any number of matches. Returns the violating subsets;
-    empty means the procurement is activation-safe.
+    empty means the procurement is activation-safe. A network file whose
+    baseline overloads a line raises :class:`InfeasibleBaselineError`.
     """
     network, baseline = load_network(network_path)
+    check_baseline(network, baseline)
     bids = {bid.id: bid for bid in load_bids(bids_path)}
     dispatch = baseline.copy()
     conditional = []

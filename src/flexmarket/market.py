@@ -100,6 +100,24 @@ OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 _SEQUENCE = attrgetter("sequence")
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number; a bool or a string is no number."""
+    try:
+        return type(value) is not bool and math.isfinite(value)
+    except (TypeError, OverflowError):  # OverflowError: an int too large for a float
+        return False
+
+
+def _scenario(scenario) -> frozenset:
+    """A scenario as the book keeps it: the frozenset of its match ids."""
+    try:
+        if isinstance(scenario, str):  # a bare string would read as a set of its characters
+            raise TypeError
+        return frozenset(scenario)
+    except TypeError:  # not a collection, or one holding an unhashable item
+        raise MarketError(f"a scenario is a collection of match ids, not {scenario!r}") from None
+
+
 @dataclass(slots=True)
 class Bid:
     """A flexibility offer or request resting in (or entering) the book.
@@ -223,10 +241,7 @@ class OrderBook:
             raise MarketError(f"unknown counterparty order {order!r}")
         if policy not in POLICY_VARIANTS:
             raise MarketError(f"unknown policy variant {policy!r}")
-        scenarios = tuple(scenarios)
-        for scenario in scenarios:
-            if isinstance(scenario, str):
-                raise MarketError(f"a scenario is a collection of match ids, not {scenario!r}")
+        scenarios = tuple(map(_scenario, scenarios))
         if policy != SCENARIOS and scenarios:
             raise MarketError(f"only the scenarios policy takes scenarios, not {policy}")
         if policy == SCENARIOS and not scenarios:
@@ -237,7 +252,7 @@ class OrderBook:
 
         self.network = network
         self.policy = policy
-        self.scenarios = tuple(map(frozenset, scenarios))
+        self.scenarios = scenarios
         self.order = order
 
         self.ptdf = build_ptdf(network)
@@ -384,17 +399,28 @@ class OrderBook:
         order, which is the order clearing relies on. ``accepted`` are
         the conditional matches in acceptance order. Raises
         :class:`MarketError` for a state the book could not have
-        reached: duplicate bid ids, sequence numbers or match ids, a
-        sequence number after ``sequence``, a ``round`` other than
-        ``sequence`` (each submission counts both), an accepted match that is
-        not conditional or whose id ``m<N>`` has N above
-        ``match_counter``, or a bid or match on an unknown bus. Every input
-        is checked before the book changes, so a failed restore leaves
-        it fresh.
+        reached: a bid whose sequence number is not an ``int`` or whose
+        original quantity is not a finite number, duplicate bid ids,
+        sequence numbers or match ids, a sequence number after
+        ``sequence``, a ``round`` other than ``sequence`` (each submission
+        counts both), an accepted match that is not conditional, whose
+        quantity is not a finite number above zero or whose id ``m<N>``
+        has N above ``match_counter``, or a bid or match on an unknown
+        bus. Every input is checked before the book changes, so a failed
+        restore leaves it fresh.
         """
         if self.round or self._seen_ids or self.accepted:
             raise MarketError("restore needs a fresh book")
-        resting = sorted(map(copy.copy, resting), key=_SEQUENCE)
+        resting = list(map(copy.copy, resting))
+        for bid in resting:
+            if type(bid.sequence) is not int:
+                raise MarketError(f"bid {bid.id}: sequence {bid.sequence!r} is not an int")
+            if not _finite(bid.original_quantity_kw):
+                raise MarketError(
+                    f"bid {bid.id}: original_quantity_kw {bid.original_quantity_kw!r}"
+                    " is not a finite number"
+                )
+        resting.sort(key=_SEQUENCE)
         accepted = list(accepted)
         for what, key, items in (
             ("bid id", attrgetter("id"), resting),
@@ -412,6 +438,11 @@ class OrderBook:
         for record in accepted:
             if record.conditionality != CONDITIONAL:
                 raise MarketError(f"match {record.match_id}: accepted matches are conditional")
+            if not (_finite(record.quantity_kw) and record.quantity_kw > 0):
+                raise MarketError(
+                    f"match {record.match_id}: quantity_kw {record.quantity_kw!r}"
+                    " is not a finite number > 0"
+                )
             number = record.match_id[1:]
             if record.match_id[:1] == "m" and number.isdecimal() and int(number) > match_counter:
                 raise MarketError(

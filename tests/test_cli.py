@@ -67,16 +67,21 @@ def test_check_infeasible_baseline_exit_code(tmp_path, capsys):
     )
     assert main(["check", "--network", str(path)]) == 3
     assert "line 1-2" in capsys.readouterr().err
-    bids = str(DATA / "bids_reevaluation.jsonl")
-    assert main(["run", "--network", str(path), "--bids", bids]) == 3
+    # The book refuses the baseline before the bid file, missing here, is read.
+    assert main(["run", "--network", str(path), "--bids", str(tmp_path / "missing.jsonl")]) == 3
     assert "line 1-2" in capsys.readouterr().err
+    # The PTDF does not depend on the injections, so it is dumped all the same.
+    assert main(["ptdf", "--network", str(path)]) == 0
+    assert capsys.readouterr().out == "line,1,2\n1-2,0,-1\n"
 
 
-@pytest.mark.parametrize("given", [(), ("--bids", "b.jsonl"), ("--trades", "t.jsonl")])
+@pytest.mark.parametrize("given", [("--bids", "b.jsonl"), ("--trades", "t.jsonl")])
 def test_check_exhaustive_needs_bids_and_trades(capsys, given):
-    args = ["check", "--network", str(DATA / "three_bus.yaml"), "--exhaustive", *given]
+    args = ["check", "--network", str(DATA / "three_bus.yaml"), *given]
     assert main(args) == 2
-    assert "error: --exhaustive needs --bids and --trades" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: auditing a trade log needs both --bids and --trades\n"
+    )
 
 
 def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
@@ -97,7 +102,6 @@ def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
         [
             "check",
             "--network", str(DATA / "fifteen_bus.yaml"),
-            "--exhaustive",
             "--bids", str(DATA / "bids_fifteen_bus.jsonl"),
             "--trades", str(out / "trades.jsonl"),
         ]
@@ -120,7 +124,6 @@ def test_check_exhaustive_reads_logs_with_price_rejections(tmp_path, capsys):
         [
             "check",
             "--network", str(DATA / "fifteen_bus.yaml"),
-            "--exhaustive",
             "--bids", str(DATA / "bids_fifteen_bus.jsonl"),
             "--trades", str(trades),
         ]
@@ -143,7 +146,6 @@ def test_check_exhaustive_flags_unsafe_logs(tmp_path, capsys):
         [
             "check",
             "--network", str(DATA / "three_bus.yaml"),
-            "--exhaustive",
             "--bids", str(DATA / "bids_joint_overload.jsonl"),
             "--trades", str(trades),
         ]
@@ -167,7 +169,7 @@ def test_check_exhaustive_rejects_a_non_finite_trade_log_number(tmp_path, capsys
     trades = tmp_path / "trades.jsonl"
     trades.write_text("".join(json.dumps({**r, field: value}) + "\n" for r in records))
     capsys.readouterr()
-    check = ["check", "--network", network, "--exhaustive", "--bids", bids]
+    check = ["check", "--network", network, "--bids", bids]
     assert main(check + ["--trades", str(trades)]) == 2
     assert f"{field}: expected a finite number" in capsys.readouterr().err
 
@@ -211,7 +213,9 @@ def test_a_subnormal_reactance_exits_2_without_a_traceback(tmp_path):
         done = cli(*args, "--network", str(network))
         assert done.returncode == 2, args
         assert done.stdout == ""
-        assert done.stderr == "error: PTDF has non-finite entries; check the line reactances\n"
+        assert done.stderr == (
+            f"error: {network}: PTDF has non-finite entries; check the line reactances\n"
+        )
 
 
 def test_ptdf_dump(tmp_path, capsys):
@@ -293,14 +297,14 @@ def test_check_exhaustive_names_the_trade_log_of_an_unknown_bid(tmp_path, capsys
                     "price_eur_per_kw": 0.05, "outcome": "matched", "binding_lines": []})
         + "\n"
     )
-    args = ["check", "--network", str(DATA / "three_bus.yaml"), "--exhaustive"]
+    args = ["check", "--network", str(DATA / "three_bus.yaml")]
     assert main(args + ["--bids", str(DATA / "bids_joint_overload.jsonl"),
                         "--trades", str(trades)]) == 2
     assert f"{trades}: names unknown bid 'offer_x'" in capsys.readouterr().err
 
 
-# network, bids, policy, golden log, exit code of `check --exhaustive` on the
-# log, and any further arguments of `run`: the individual and cumulative
+# network, bids, policy, golden log, exit code of `check --bids --trades` on
+# the log, and any further arguments of `run`: the individual and cumulative
 # policies admit activation subsets that overload a line, and the audit
 # must flag them (exit 1).
 GOLDEN_RUNS = [
@@ -330,7 +334,7 @@ def test_cli_replays_match_the_golden_logs(
     text = (out / "book.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
     assert main(["book", "--book", str(out / "book.json")]) == 0
-    check = ["check", "--network", network, "--exhaustive", "--bids", bids]
+    check = ["check", "--network", network, "--bids", bids]
     assert main(check + ["--trades", str(out / "trades.jsonl")]) == audit
     assert "Traceback" not in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ from flexmarket import (
     InputError,
     MarketConfig,
     NetworkError,
+    audit_trade_log,
     book_json,
     dump_book,
     line_flows,
@@ -26,7 +27,7 @@ from flexmarket import (
 from flexmarket import fileio, grid, market
 from flexmarket.grid import build_ptdf
 
-from conftest import DATA
+from conftest import DATA, GOLDEN
 
 THREE_BUS_TEMPLATE = """\
 buses: [1, 2, 3]
@@ -51,15 +52,18 @@ class TestLoadNetwork:
         assert network.buses == ("1", "2", "3")
         assert line_flows(build_ptdf(network), baseline) == pytest.approx([40.0, 20.0])
 
-    def test_infeasible_baseline_names_the_line(self, tmp_path):
+    def test_an_overloaded_baseline_loads_and_a_book_refuses_it(self, tmp_path):
         path = write_three_bus(tmp_path, limit=19)
-        with pytest.raises(InfeasibleBaselineError, match="line 2-3"):
-            load_network(path)
-
-    def test_feasibility_check_can_be_waived(self, tmp_path):
-        path = write_three_bus(tmp_path, limit=19)
-        network, _ = load_network(path, require_feasible=False)
+        network, baseline = load_network(path)
         assert network.lines[1].limit_kw == 19.0
+        with pytest.raises(InfeasibleBaselineError, match="line 2-3") as refused:
+            new_book(network, baseline, MarketConfig())
+        assert refused.value.exit_code == 3
+        # The audit judges a log against the file's baseline, so it refuses it too.
+        with pytest.raises(InfeasibleBaselineError, match="line 2-3"):
+            audit_trade_log(
+                path, DATA / "bids_reevaluation.jsonl", GOLDEN / "reevaluation.trades.jsonl"
+            )
 
     def test_omitted_slack_is_balanced(self, tmp_path):
         path = write_three_bus(tmp_path, injections="  2: -20\n  3: -20")
@@ -116,8 +120,9 @@ class TestLoadNetwork:
         path.write_text(path.read_text().replace("reactance: 0.1", "reactance: 1.0e-320", 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NetworkError, match="PTDF has non-finite entries"):
+            with pytest.raises(NetworkError) as refused:
                 load_network(path)
+        assert str(refused.value).startswith(f"{path}: PTDF has non-finite entries")
 
 
 class TestPtdfSharing:
@@ -563,6 +568,14 @@ class TestBookRoundTrip:
             (
                 lambda d: d.update(match_counter=0),
                 r"book\.json: match m\d+: id is above match_counter 0",
+            ),
+            (
+                lambda d: d["accepted_matches"][0].update(quantity_kw=-10),
+                r"book\.json: match m\d+: quantity_kw -10 is not a finite number > 0",
+            ),
+            (
+                lambda d: d["accepted_matches"][0].update(quantity_kw=0),
+                r"book\.json: match m\d+: quantity_kw 0 is not a finite number > 0",
             ),
         ],
     )

@@ -37,8 +37,10 @@ def offer(id, direction, bus, quantity, price):
     return Bid(id, "offer", direction, bus, quantity, price)
 
 
-def accepted_match(match_id, withdraw_bus="3", conditionality="conditional"):
-    return MatchRecord(match_id, "o1", "r1", "2", withdraw_bus, 5.0, 0.04, conditionality, 1)
+def accepted_match(match_id, withdraw_bus="3", conditionality="conditional", quantity_kw=5.0):
+    return MatchRecord(
+        match_id, "o1", "r1", "2", withdraw_bus, quantity_kw, 0.04, conditionality, 1
+    )
 
 
 def make_book(three_bus, policy=ALL_COMBINATIONS, **kwargs):
@@ -307,6 +309,8 @@ class TestCombinationFeasibility:
             (INDIVIDUAL, {"scenarios": [["m1"]]}, "only the scenarios policy takes scenarios"),
             (SCENARIOS, {}, "requires a non-empty scenario list"),
             (SCENARIOS, {"scenarios": ["m1"]}, "collection of match ids, not 'm1'"),
+            (SCENARIOS, {"scenarios": [5]}, "collection of match ids, not 5"),
+            (SCENARIOS, {"scenarios": [[["m1"]]]}, r"collection of match ids, not \[\['m1'\]\]"),
             (ALL_COMBINATIONS, {"order": "lifo"}, "unknown counterparty order 'lifo'"),
         ],
     )
@@ -438,6 +442,12 @@ class TestRestore:
             # The book would hand out m3 again on its next match.
             ([accepted_match("m1"), accepted_match("m3")], MarketError,
              "match m3: id is above match_counter 2"),
+            # A running sum of NaN or inf checks nothing; a string is no quantity.
+            *(
+                ([accepted_match("m1", quantity_kw=q)], MarketError,
+                 "match m1: quantity_kw .* is not a finite number > 0")
+                for q in (-10.0, 0.0, float("nan"), float("inf"), "5", True)
+            ),
         ],
     )
     def test_restore_refuses_accepted_matches_the_book_never_holds(
@@ -446,6 +456,28 @@ class TestRestore:
         with pytest.raises(error, match=message):
             make_book(three_bus).restore(round=2, sequence=2, match_counter=2, seen_ids=[],
                                          resting=[], accepted=accepted)
+
+    # Each of these used to restore, or fail with a bare TypeError, and a
+    # restored one dumps a book.json that load_book refuses.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sequence", "2"),
+            ("sequence", True),
+            ("sequence", 1.5),
+            ("original_quantity_kw", float("nan")),
+            ("original_quantity_kw", float("inf")),
+        ],
+    )
+    def test_restore_refuses_a_bid_it_could_not_dump(self, three_bus, field, value):
+        book = make_book(three_bus)
+        first, odd = request("r1", "up", "2", 5, 0.05), request("r2", "up", "2", 5, 0.05)
+        first.sequence, odd.sequence = 1, 2
+        setattr(odd, field, value)
+        with pytest.raises(MarketError, match=f"bid r2: {field} .* is not"):
+            book.restore(round=2, sequence=2, match_counter=0, seen_ids=[],
+                         resting=[first, odd], accepted=[])
+        assert book.snapshot() == make_book(three_bus).snapshot()
 
     def test_a_failed_restore_leaves_the_book_fresh(self, three_bus):
         book = make_book(three_bus)
