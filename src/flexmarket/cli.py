@@ -94,7 +94,7 @@ def cmd_check(args) -> int:
     print("baseline feasible")
     if args.trades is None:
         return 0
-    reports = audit_trade_log(args.network, args.bids, args.trades)
+    reports = audit_trade_log(network, baseline, args.bids, args.trades)
     if not reports:
         print("exhaustive audit clean: every activation subset stays within limits")
         return 0

@@ -34,6 +34,7 @@ from .grid import (
     build_ptdf,
     check_baseline,
     exchange_buses,
+    finite_number,
 )
 from .market import (
     ALL_COMBINATIONS,
@@ -97,17 +98,10 @@ def _shown(value, form=repr) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A finite number from an input file, as a ``float``; a string or a boolean is no number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a bool is not a number")
-        finite = math.isfinite(value)  # a TypeError for a string, as for any non-number
-    except TypeError:
-        raise InputError(f"{name}: expected a number, got {_shown(value)}") from None
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise InputError(f"{name}: expected a finite number, got {_shown(value)}")
+    """A :func:`~flexmarket.grid.finite_number` from an input file, as a ``float``."""
+    if not finite_number(value):  # a file's numbers parse as floats and ints; a bool is none
+        what = "a finite number" if type(value) in (float, int) else "a number"
+        raise InputError(f"{name}: expected {what}, got {_shown(value)}")
     return float(value)
 
 
@@ -591,18 +585,17 @@ def load_book(path, network, config: MarketConfig) -> OrderBook:
 # post-hoc audits
 
 
-def audit_trade_log(network_path, bids_path, trades_path):
+def audit_trade_log(network, baseline, bids_path, trades_path):
     """Audit every activation subset of the cleared state a trade log describes.
 
-    Rebuilds the final baseline by replaying the unconditional trades in
-    log order, collects the conditional matches, and solves the worst
-    activation subsets of every line with the independent oracle
+    Replays the log's unconditional trades in order on the ``baseline``
+    of ``network``, collects the conditional matches, and solves the
+    worst activation subsets of every line with the independent oracle
     (:func:`~flexmarket.oracle.worst_subset_check`), which covers all
     subsets for any number of matches. Returns the violating subsets;
-    empty means the procurement is activation-safe. A network file whose
-    baseline overloads a line raises :class:`InfeasibleBaselineError`.
+    empty means the procurement is activation-safe. A baseline that
+    overloads a line raises :class:`InfeasibleBaselineError`.
     """
-    network, baseline = load_network(network_path)
     check_baseline(network, baseline)
     bids = {bid.id: bid for bid in load_bids(bids_path)}
     dispatch = baseline.copy()

@@ -17,6 +17,7 @@ and its matrix are safe to share between threads and order books.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
@@ -27,7 +28,6 @@ from .errors import InfeasibleBaselineError, MarketError, NetworkError, UnknownB
 
 UP = "up"
 DOWN = "down"
-DIRECTIONS = (UP, DOWN)
 
 #: Sensitivities smaller than this are treated as exactly zero.
 ALPHA_TOL = 1e-9
@@ -35,13 +35,28 @@ ALPHA_TOL = 1e-9
 QUANTITY_TOL = 1e-6
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number, the one rule of every numeric gate.
+
+    No bool (``numpy.bool_`` included), string or ``Decimal`` is one; an ``int`` must fit a float.
+    """
+    # The exact-type test first spares a float or an int the slower ABC check.
+    if type(value) in (float, int) or isinstance(value, numbers.Real) and type(value) is not bool:
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    return False
+
+
 @dataclass(frozen=True)
 class Line:
     """One branch of the distribution grid.
 
     Positive flow runs from ``from_bus`` toward ``to_bus``. ``reactance``
-    is per-unit and must be positive; ``limit_kw`` is the thermal limit
-    in kW, applied symmetrically to both flow directions.
+    is per-unit; ``limit_kw`` is the thermal limit in kW, applied
+    symmetrically to both flow directions. Each must be a
+    :func:`finite_number` above zero, or the line raises :class:`NetworkError`.
     """
 
     from_bus: Hashable
@@ -53,10 +68,8 @@ class Line:
         if self.from_bus == self.to_bus:
             raise NetworkError(f"line {self.from_bus}-{self.to_bus} is a self-loop")
         for name in ("reactance", "limit_kw"):
-            value = getattr(self, name)
-            # A bool is a numbers.Real, but no reactance or limit.
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
-                raise NetworkError(f"line {self.label}: {name} must be a number > 0")
+            if not (finite_number(value := getattr(self, name)) and value > 0):
+                raise NetworkError(f"line {self.label}: {name} must be a finite number > 0")
 
     @property
     def label(self) -> str:
@@ -332,8 +345,8 @@ def max_tradable_quantity(
     are covered automatically. A result below ``QUANTITY_TOL`` collapses
     to zero as :func:`admissible_quantity` decides.
     """
-    if not quantity_kw > 0:
-        raise MarketError("quantity_kw must be positive")
+    if not (finite_number(quantity_kw) and quantity_kw > 0):
+        raise MarketError("quantity_kw must be a finite number > 0")
     inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
     ptdf = build_ptdf(network)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Hashable, Iterable, NamedTuple, Optional
@@ -60,6 +59,7 @@ from .grid import (
     check_baseline,
     exchange_buses,
     exchange_sensitivity,
+    finite_number,
     flow_rooms,
     quantity_caps,
 )
@@ -100,14 +100,6 @@ OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 _SEQUENCE = attrgetter("sequence")
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite number; a bool or a string is no number."""
-    try:
-        return type(value) is not bool and math.isfinite(value)
-    except (TypeError, OverflowError):  # OverflowError: an int too large for a float
-        return False
-
-
 def _scenario(scenario) -> frozenset:
     """A scenario as the book keeps it: the frozenset of its match ids."""
     try:
@@ -123,7 +115,9 @@ class Bid:
     """A flexibility offer or request resting in (or entering) the book.
 
     ``id`` is a non-empty string, so every bid can be dumped and read
-    back. ``quantity_kw`` is the remaining unmatched quantity and shrinks with
+    back. Its quantity is a :func:`~flexmarket.grid.finite_number` above
+    zero and its price one not below zero, or it raises :class:`MarketError`.
+    ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
     index assigned on submission and is the sole tie-breaker. A bid
@@ -148,22 +142,13 @@ class Bid:
             raise MarketError(f"bid {self.id}: unknown side {self.side!r}")
         if self.direction not in (UP, DOWN):
             raise MarketError(f"bid {self.id}: unknown direction {self.direction!r}")
-        try:
-            if bool in (type(self.quantity_kw), type(self.price_eur_per_kw)):
-                raise TypeError("a bool is not a quantity or a price")
-            if not (math.isfinite(self.quantity_kw) and self.quantity_kw > 0):
-                raise MarketError(f"bid {self.id}: quantity_kw must be finite and > 0")
-            if not (math.isfinite(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
-                raise MarketError(f"bid {self.id}: price_eur_per_kw must be finite and >= 0")
-        except (TypeError, OverflowError):
-            raise MarketError(
-                f"bid {self.id}: quantity_kw and price_eur_per_kw must be finite numbers"
-            ) from None
+        if not (finite_number(self.quantity_kw) and self.quantity_kw > 0):
+            raise MarketError(f"bid {self.id}: quantity_kw must be a finite number > 0")
+        if not (finite_number(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
+            raise MarketError(f"bid {self.id}: price_eur_per_kw must be a finite number >= 0")
         if self.side == REQUEST:
             if self.conditionality not in (CONDITIONAL, UNCONDITIONAL):
-                raise MarketError(
-                    f"request {self.id} must be 'conditional' or 'unconditional'"
-                )
+                raise MarketError(f"request {self.id} must be 'conditional' or 'unconditional'")
         elif self.conditionality is not None:
             raise MarketError(f"offer {self.id} must not carry a conditionality")
         self.side = OFFER if self.side == OFFER else REQUEST
@@ -220,7 +205,8 @@ class OrderBook:
     module docstring lists. ``scenarios`` are the activation subsets the
     ``scenarios`` policy checks, each a collection of match ids, and no
     other policy takes any. ``order`` is one of :data:`ORDERS`. A bad
-    configuration raises :class:`MarketError`.
+    configuration raises :class:`MarketError`, and so does a baseline
+    injection that is not a :func:`~flexmarket.grid.finite_number`.
 
     The baseline dispatch is mutated only by matches with unconditional
     requests and stays line-feasible at all times; accepted conditional
@@ -241,7 +227,10 @@ class OrderBook:
             raise MarketError(f"unknown counterparty order {order!r}")
         if policy not in POLICY_VARIANTS:
             raise MarketError(f"unknown policy variant {policy!r}")
-        scenarios = tuple(map(_scenario, scenarios))
+        try:
+            scenarios = tuple(map(_scenario, scenarios))
+        except TypeError:  # ``scenarios`` itself is not a collection
+            raise MarketError(f"scenarios must be a collection, not {scenarios!r}") from None
         if policy != SCENARIOS and scenarios:
             raise MarketError(f"only the scenarios policy takes scenarios, not {policy}")
         if policy == SCENARIOS and not scenarios:
@@ -249,6 +238,9 @@ class OrderBook:
         unknown = set(baseline.injection_kw) - set(network.buses)
         if unknown:
             raise UnknownBusError(f"baseline names unknown buses: {sorted(map(str, unknown))}")
+        for bus, injection in baseline.injection_kw.items():
+            if not finite_number(injection):
+                raise MarketError(f"baseline injection at bus {bus!r} is not a finite number")
 
         self.network = network
         self.policy = policy
@@ -415,7 +407,7 @@ class OrderBook:
         for bid in resting:
             if type(bid.sequence) is not int:
                 raise MarketError(f"bid {bid.id}: sequence {bid.sequence!r} is not an int")
-            if not _finite(bid.original_quantity_kw):
+            if not finite_number(bid.original_quantity_kw):
                 raise MarketError(
                     f"bid {bid.id}: original_quantity_kw {bid.original_quantity_kw!r}"
                     " is not a finite number"
@@ -438,7 +430,7 @@ class OrderBook:
         for record in accepted:
             if record.conditionality != CONDITIONAL:
                 raise MarketError(f"match {record.match_id}: accepted matches are conditional")
-            if not (_finite(record.quantity_kw) and record.quantity_kw > 0):
+            if not (finite_number(record.quantity_kw) and record.quantity_kw > 0):
                 raise MarketError(
                     f"match {record.match_id}: quantity_kw {record.quantity_kw!r}"
                     " is not a finite number > 0"
@@ -601,8 +593,8 @@ class OrderBook:
         decides it, and the labels of the lines whose cap bound it (empty
         when the full quantity goes through).
         """
-        if not quantity_kw > 0:
-            raise MarketError("candidate quantity must be positive")
+        if not (finite_number(quantity_kw) and quantity_kw > 0):
+            raise MarketError("candidate quantity must be a finite number > 0")
         alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
         line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
         quantity = admissible_quantity(line_caps, quantity_kw)

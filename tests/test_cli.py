@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import flexmarket
+from flexmarket import grid
 from flexmarket.cli import main
 
 from conftest import DATA, GOLDEN
@@ -108,6 +109,28 @@ def test_check_exhaustive_audit_is_clean(tmp_path, capsys):
     )
     assert code == 0
     assert "audit clean" in capsys.readouterr().out
+
+
+def test_check_solves_the_network_once(monkeypatch, capsys):
+    # The audit takes the network the check already loaded, with its PTDF.
+    solves = []
+    solve = grid._solve_ptdf
+
+    def counted(network):
+        solves.append(network)
+        return solve(network)
+
+    monkeypatch.setattr(grid, "_solve_ptdf", counted)
+    code = main(
+        [
+            "check",
+            "--network", str(DATA / "fifteen_bus.yaml"),
+            "--bids", str(DATA / "bids_fifteen_bus.jsonl"),
+            "--trades", str(GOLDEN / "fifteen_bus.trades.jsonl"),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert len(solves) == 1
 
 
 def test_check_exhaustive_reads_logs_with_price_rejections(tmp_path, capsys):
@@ -414,7 +437,7 @@ LABEL_CASES = [
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 0}\n",
-            "line 1-2: limit_kw must be a number > 0",
+            "line 1-2: limit_kw must be a finite number > 0",
         ),
         ("slack_bus", "slack_bus: 3\n", "slack bus '3' is not a network bus"),
         ("buses", "buses: [1, 2, 3]\n", "network is disconnected; unreachable buses: ['3']"),

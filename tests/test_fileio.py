@@ -62,7 +62,10 @@ class TestLoadNetwork:
         # The audit judges a log against the file's baseline, so it refuses it too.
         with pytest.raises(InfeasibleBaselineError, match="line 2-3"):
             audit_trade_log(
-                path, DATA / "bids_reevaluation.jsonl", GOLDEN / "reevaluation.trades.jsonl"
+                network,
+                baseline,
+                DATA / "bids_reevaluation.jsonl",
+                GOLDEN / "reevaluation.trades.jsonl",
             )
 
     def test_omitted_slack_is_balanced(self, tmp_path):

@@ -1,5 +1,7 @@
+import math
 import warnings
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from operator import setitem
 
 import numpy as np
@@ -80,10 +82,14 @@ class TestPtdf:
             (0.0, 10.0, "reactance"),
             (True, 10.0, "reactance"),
             (0.1, True, "limit_kw"),
+            (Decimal("0.1"), 10.0, "reactance"),
+            (np.True_, 10.0, "reactance"),
+            (0.1, math.inf, "limit_kw"),
+            pytest.param(0.1, 10 ** 400, "limit_kw", id="huge-int"),
         ],
     )
     def test_a_line_needs_positive_numbers(self, reactance, limit, field):
-        with pytest.raises(NetworkError, match=f"line 1-2: {field} must be a number > 0"):
+        with pytest.raises(NetworkError, match=f"line 1-2: {field} must be a finite number > 0"):
             Line("1", "2", reactance, limit)
 
     @pytest.mark.parametrize("reactance", [1.0e-320, np.float64(1.0e-320)], ids=["float", "float64"])
@@ -265,9 +271,9 @@ class TestMaxTradableQuantity:
 
     def test_invalid_inputs(self, three_bus):
         network, dispatch = three_bus
-        with pytest.raises(MarketError, match="quantity_kw must be positive"):
+        with pytest.raises(MarketError, match="quantity_kw must be a finite number > 0"):
             max_tradable_quantity(network, dispatch, "2", "3", "down", 0.0)
-        with pytest.raises(MarketError, match="candidate quantity must be positive"):
+        with pytest.raises(MarketError, match="candidate quantity must be a finite number > 0"):
             OrderBook(network, dispatch, INDIVIDUAL).check_combination_feasibility(
                 "2", "3", "down", 0.0
             )

@@ -1,5 +1,8 @@
+import math
 import threading
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from flexmarket import (
@@ -13,6 +16,7 @@ from flexmarket import (
     UnknownBusError,
     line_flows,
     load_network,
+    max_tradable_quantity,
 )
 from flexmarket.oracle import dc_solve, flow_violations
 from flexmarket.market import (
@@ -96,21 +100,70 @@ class TestBidValidation:
 
     @pytest.mark.parametrize("quantity", [float("nan"), float("inf")])
     def test_quantity_must_be_finite(self, quantity):
-        with pytest.raises(MarketError, match="quantity_kw must be finite"):
+        with pytest.raises(MarketError, match="bid o: quantity_kw must be a finite number > 0"):
             offer("o", "up", "1", quantity, 0.05)
 
     @pytest.mark.parametrize("price", [float("nan"), float("inf")])
     def test_price_must_be_finite(self, price):
-        with pytest.raises(MarketError, match="price_eur_per_kw must be finite"):
+        with pytest.raises(MarketError, match="bid r: price_eur_per_kw must be a finite number >= 0"):
             request("r", "up", "1", 10, price)
 
+    QUANTITY = "bid o: quantity_kw must be a finite number > 0"
+    PRICE = "bid o: price_eur_per_kw must be a finite number >= 0"
+
     @pytest.mark.parametrize(
-        "quantity, price",
-        [("5", 0.05), (5.0, None), (10 ** 400, 0.05), (5.0, [1]), (True, 0.05), (5.0, False)],
+        "quantity, price, message",
+        [
+            ("5", 0.05, QUANTITY),
+            (5.0, None, PRICE),
+            (10 ** 400, 0.05, QUANTITY),
+            (5.0, [1], PRICE),
+            (True, 0.05, QUANTITY),
+            (5.0, False, PRICE),
+            (Decimal("5"), 0.05, QUANTITY),
+            (np.True_, 0.05, QUANTITY),
+            (5.0, np.True_, PRICE),
+        ],
+        ids=[
+            "str", "none", "huge-int", "list", "bool", "false-price", "decimal", "np-bool",
+            "np-bool-price",
+        ],
     )
-    def test_a_non_number_is_a_market_error(self, quantity, price):
-        with pytest.raises(MarketError, match="bid o: quantity_kw and price_eur_per_kw must be"):
+    def test_a_non_number_is_a_market_error(self, quantity, price, message):
+        with pytest.raises(MarketError, match=f"^{message}$"):
             offer("o", "up", "1", quantity, price)
+
+
+def baseline_gate(three_bus, injection):
+    network, dispatch = three_bus
+    OrderBook(network, DispatchState({**dispatch.injection_kw, "3": injection}), INDIVIDUAL)
+
+
+def candidate_gate(three_bus, quantity):
+    make_book(three_bus, INDIVIDUAL).check_combination_feasibility("3", "1", "up", quantity)
+
+
+def tradable_gate(three_bus, quantity):
+    max_tradable_quantity(*three_bus, "3", "1", "up", quantity)
+
+
+# Each library gate for a number: the call, a number it takes written as a string, its refusal.
+NUMBER_GATES = {
+    "baseline": (baseline_gate, "-20", "baseline injection at bus '3' is not a finite number"),
+    "candidate": (candidate_gate, "5", "candidate quantity must be a finite number > 0"),
+    "max_tradable": (tradable_gate, "5", "quantity_kw must be a finite number > 0"),
+}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "string", "bool", "decimal"])
+@pytest.mark.parametrize("gate", list(NUMBER_GATES))
+def test_every_number_gate_refuses_what_is_not_a_finite_number(three_bus, gate, kind):
+    call, text, message = NUMBER_GATES[gate]
+    value = {
+        "nan": math.nan, "inf": math.inf, "string": text, "bool": True, "decimal": Decimal(text)
+    }[kind]
+    with pytest.raises(MarketError, match=f"^{message}$"):
+        call(three_bus, value)
 
 
 class TestSubmission:
@@ -311,6 +364,8 @@ class TestCombinationFeasibility:
             (SCENARIOS, {"scenarios": ["m1"]}, "collection of match ids, not 'm1'"),
             (SCENARIOS, {"scenarios": [5]}, "collection of match ids, not 5"),
             (SCENARIOS, {"scenarios": [[["m1"]]]}, r"collection of match ids, not \[\['m1'\]\]"),
+            (SCENARIOS, {"scenarios": 5}, "scenarios must be a collection, not 5"),
+            (SCENARIOS, {"scenarios": None}, "scenarios must be a collection, not None"),
             (ALL_COMBINATIONS, {"order": "lifo"}, "unknown counterparty order 'lifo'"),
         ],
     )
