@@ -11,6 +11,7 @@ subset, 2 input error, 3 infeasible baseline.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import FlexMarketError, InputError
@@ -18,6 +19,7 @@ from .fileio import (
     POLICY_ALIASES,
     MarketConfig,
     audit_trade_log,
+    book_json,
     load_network,
     read_book_dump,
     run_replay,
@@ -67,14 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    config = MarketConfig(
-        policy=args.policy,
-        scenarios_path=args.scenarios,
-        order=args.order,
-    )
-    book = run_replay(args.network, args.bids, config, out_dir=args.out)
-    for line in trade_log_lines(book.trade_log):
-        print(line)
+    config = MarketConfig(policy=args.policy, scenarios_path=args.scenarios, order=args.order)
+    book = run_replay(args.network, args.bids, config)
+    log = "".join(line + "\n" for line in trade_log_lines(book.trade_log))
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in (("trades.jsonl", log), ("book.json", book_json(book))):
+            with open(os.path.join(args.out, name), "w") as handle:
+                handle.write(text)
+    sys.stdout.write(log)
     print(
         f"# {len(book.trade_log)} log entries, {book.match_count} matches, "
         f"{len(book.requests)} requests and {len(book.offers)} offers resting",

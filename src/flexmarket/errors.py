@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
 
 
 class FlexMarketError(Exception):
@@ -28,3 +28,11 @@ class InfeasibleBaselineError(FlexMarketError):
 
 class MarketError(FlexMarketError):
     """A bid or market operation violates the trading rules."""
+
+
+def shown(value, form=repr) -> str:
+    """``form(value)`` for an error message, unless an integer in it is too long to write out."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"

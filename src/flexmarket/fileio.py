@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -25,7 +24,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import InputError, MarketError, NetworkError
+from .errors import InputError, MarketError, NetworkError, shown
 from .grid import (
     QUANTITY_TOL,
     DispatchState,
@@ -89,19 +88,11 @@ class MarketConfig:
 # field rules: rule(value, name) is the value to keep, or an InputError naming ``name``
 
 
-def _shown(value, form=repr) -> str:
-    """``form(value)`` for an error message, unless an integer in it is too long to write out."""
-    try:
-        return form(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to show>"
-
-
 def _number(value, name: str) -> float:
     """A :func:`~flexmarket.grid.finite_number` from an input file, as a ``float``."""
     if not finite_number(value):  # a file's numbers parse as floats and ints; a bool is none
         what = "a finite number" if type(value) in (float, int) else "a number"
-        raise InputError(f"{name}: expected {what}, got {_shown(value)}")
+        raise InputError(f"{name}: expected {what}, got {shown(value)}")
     return float(value)
 
 
@@ -115,7 +106,7 @@ def _whole(value, name: str) -> int:
     """A whole number, as :func:`_number` checks it, as an ``int``."""
     number = _number(value, name)
     if not number.is_integer():
-        raise InputError(f"{name}: expected an integer, got {_shown(value)}")
+        raise InputError(f"{name}: expected an integer, got {shown(value)}")
     return value if type(value) is int else int(number)
 
 
@@ -128,7 +119,7 @@ def _label(value, name: str) -> str:
             return str(value)
         except ValueError:  # too many digits to write out
             pass
-    raise InputError(f"{name} must be a string or an integer, got {_shown(value)}")
+    raise InputError(f"{name} must be a string or an integer, got {shown(value)}")
 
 
 def _bus(value, name: str) -> str:
@@ -205,7 +196,7 @@ def _checked(record, fields: _Fields, where: str) -> dict:
         raise InputError(f"{prefix}not a mapping")
     keys = record.keys()
     if not keys <= fields.keys():
-        unknown = sorted(_shown(key, str) for key in keys - fields.keys())
+        unknown = sorted(shown(key, str) for key in keys - fields.keys())
         raise InputError(f"{prefix}unknown fields {unknown}")
     optional = fields.optional
     if len(keys) < len(fields):
@@ -281,12 +272,14 @@ def load_network(path):
     for bus in buses:
         if bus != slack:
             injections.setdefault(bus, 0.0)
-    others = sum(value for bus, value in injections.items() if bus != slack)
-    if slack in injections and abs(injections[slack] + others) > QUANTITY_TOL:
+    balance = -sum(value for bus, value in injections.items() if bus != slack)
+    if not finite_number(balance):  # finite injections whose sum overflows
+        raise InputError(f"{path}: the slack balance {balance:g} kW is not a finite number")
+    if slack in injections and abs(injections[slack] - balance) > QUANTITY_TOL:
         raise InputError(
-            f"{path}: injections sum to {injections[slack] + others:g} kW, not zero"
+            f"{path}: injections sum to {injections[slack] - balance:g} kW, not zero"
         )
-    injections[slack] = -others
+    injections[slack] = balance
     return network, DispatchState(injection_kw=injections)
 
 
@@ -337,7 +330,7 @@ def load_bids(path) -> list:
         except (InputError, MarketError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
         if bid.id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate bid id {bid.id!r}")
+            raise InputError(f"{path}:{lineno}: duplicate bid id {shown(bid.id)}")
         seen.add(bid.id)
         bids.append(bid)
     return bids
@@ -357,23 +350,15 @@ def new_book(network, baseline, config: MarketConfig) -> OrderBook:
     return OrderBook(network, baseline, config.policy, scenarios=scenarios, order=config.order)
 
 
-def run_replay(network_path, bids_path, config: MarketConfig, out_dir=None) -> OrderBook:
+def run_replay(network_path, bids_path, config: MarketConfig) -> OrderBook:
     """Feed a bid file through the market in file order; return the book.
 
-    Optionally writes ``trades.jsonl`` and ``book.json`` under
-    ``out_dir``. The book, which checks the baseline, is built before the
-    bids are read. A load or validation problem raises its
-    :class:`FlexMarketError`, and nothing is written.
+    The book, which checks the baseline, is built before the bids are
+    read. A load or validation problem raises its :class:`FlexMarketError`.
     """
     book = new_book(*load_network(network_path), config)
     for bid in load_bids(bids_path):
         book.submit_bid(bid)
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_trade_log(book.trade_log, os.path.join(out_dir, "trades.jsonl"))
-        with open(os.path.join(out_dir, "book.json"), "w") as handle:
-            handle.write(book_json(book))
     return book
 
 
@@ -600,19 +585,20 @@ def audit_trade_log(network, baseline, bids_path, trades_path):
     bids = {bid.id: bid for bid in load_bids(bids_path)}
     dispatch = baseline.copy()
     conditional = []
-    for i, entry in enumerate(read_trade_log(trades_path)):
-        if entry.outcome not in (OUTCOME_MATCHED, OUTCOME_PARTIAL):
-            continue
+    entries = read_trade_log(trades_path)
+    matched = [e for e in entries if e.outcome in (OUTCOME_MATCHED, OUTCOME_PARTIAL)]
+    # The book numbers every match m1, m2, ... in log order, unconditional ones included.
+    for number, entry in enumerate(matched, start=1):
         try:
             offer, request = bids[entry.offer_id], bids[entry.request_id]
         except KeyError as exc:
-            raise InputError(f"{trades_path}: names unknown bid {exc.args[0]!r}") from None
+            raise InputError(f"{trades_path}: names unknown bid {shown(exc.args[0])}") from None
         inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
         if request.conditionality == UNCONDITIONAL:
             dispatch.apply_exchange(inject_bus, withdraw_bus, entry.quantity_kw)
         else:
             conditional.append(MatchRecord(  # its fields, in order
-                f"m{i + 1}", offer.id, request.id, inject_bus, withdraw_bus, entry.quantity_kw,
+                f"m{number}", offer.id, request.id, inject_bus, withdraw_bus, entry.quantity_kw,
                 entry.price_eur_per_kw, request.conditionality, entry.round,
             ))
     return worst_subset_check(network, dispatch, conditional)

@@ -18,13 +18,12 @@ and its matrix are safe to share between threads and order books.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleBaselineError, MarketError, NetworkError, UnknownBusError
+from .errors import InfeasibleBaselineError, MarketError, NetworkError, UnknownBusError, shown
 
 UP = "up"
 DOWN = "down"
@@ -36,12 +35,13 @@ QUANTITY_TOL = 1e-6
 
 
 def finite_number(value) -> bool:
-    """Whether ``value`` is a finite real number, the one rule of every numeric gate.
+    """Whether ``value`` is a finite number, the one rule of every numeric gate.
 
-    No bool (``numpy.bool_`` included), string or ``Decimal`` is one; an ``int`` must fit a float.
+    Only what the file formats and writers hold passes: a ``float`` (``numpy.float64``
+    included) or an ``int`` that fits a float, never a bool.
     """
-    # The exact-type test first spares a float or an int the slower ABC check.
-    if type(value) in (float, int) or isinstance(value, numbers.Real) and type(value) is not bool:
+    # The exact-type test first spares a float or an int the subclass check.
+    if type(value) in (float, int) or isinstance(value, float):
         try:
             return math.isfinite(value)
         except OverflowError:  # an int too large for a float
@@ -55,8 +55,8 @@ class Line:
 
     Positive flow runs from ``from_bus`` toward ``to_bus``. ``reactance``
     is per-unit; ``limit_kw`` is the thermal limit in kW, applied
-    symmetrically to both flow directions. Each must be a
-    :func:`finite_number` above zero, or the line raises :class:`NetworkError`.
+    symmetrically to both flow directions. Each must be a :func:`finite_number`
+    (a float or an int) above zero, or the line raises :class:`NetworkError`.
     """
 
     from_bus: Hashable
@@ -66,7 +66,9 @@ class Line:
 
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
-            raise NetworkError(f"line {self.from_bus}-{self.to_bus} is a self-loop")
+            raise NetworkError(
+                f"line {shown(self.from_bus, str)}-{shown(self.to_bus, str)} is a self-loop"
+            )
         for name in ("reactance", "limit_kw"):
             if not (finite_number(value := getattr(self, name)) and value > 0):
                 raise NetworkError(f"line {self.label}: {name} must be a finite number > 0")
@@ -96,13 +98,13 @@ class Network:
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "lines", tuple(self.lines))
         if len(set(self.buses)) != len(self.buses):
-            repeated = sorted({str(b) for b in self.buses if self.buses.count(b) > 1})
+            repeated = sorted({shown(b, str) for b in self.buses if self.buses.count(b) > 1})
             raise NetworkError(f"duplicate bus ids {repeated}")
         if not self.lines:
             raise NetworkError("a network needs at least one line")
         bus_set = set(self.buses)
         if self.slack_bus not in bus_set:
-            raise NetworkError(f"slack bus {self.slack_bus!r} is not a network bus")
+            raise NetworkError(f"slack bus {shown(self.slack_bus)} is not a network bus")
         for line in self.lines:
             if line.from_bus not in bus_set or line.to_bus not in bus_set:
                 raise NetworkError(f"line {line.label} references an unknown bus")
@@ -133,7 +135,7 @@ class Network:
                     frontier.append(other)
         missing = [b for b in self.buses if b not in reached]
         if missing:
-            raise NetworkError(f"network is disconnected; unreachable buses: {missing}")
+            raise NetworkError(f"network is disconnected; unreachable buses: {shown(missing)}")
 
 
 @dataclass
@@ -149,7 +151,7 @@ class DispatchState:
         try:
             return np.array([self.injection_kw[b] for b in buses], dtype=float)
         except KeyError as exc:
-            raise UnknownBusError(f"dispatch has no entry for bus {exc.args[0]!r}") from None
+            raise UnknownBusError(f"dispatch has no entry for bus {shown(exc.args[0])}") from None
 
     def apply_exchange(self, inject_bus, withdraw_bus, quantity_kw: float) -> None:
         """Add ``quantity_kw`` at the injection bus and remove it at the withdrawal bus."""
@@ -157,7 +159,7 @@ class DispatchState:
             self.injection_kw[inject_bus] += quantity_kw
             self.injection_kw[withdraw_bus] -= quantity_kw
         except KeyError as exc:
-            raise UnknownBusError(f"dispatch has no entry for bus {exc.args[0]!r}") from None
+            raise UnknownBusError(f"dispatch has no entry for bus {shown(exc.args[0])}") from None
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ class PtdfMatrix:
         try:
             return self._positions[bus]
         except (KeyError, TypeError):
-            raise UnknownBusError(f"unknown bus {bus!r}") from None
+            raise UnknownBusError(f"unknown bus {shown(bus)}") from None
 
     def column(self, bus) -> np.ndarray:
         return self.matrix[:, self.bus_position(bus)]
@@ -199,7 +201,7 @@ class PtdfMatrix:
             try:
                 line = self.line_labels.index(line)
             except ValueError:
-                raise NetworkError(f"unknown line {line!r}") from None
+                raise NetworkError(f"unknown line {shown(line)}") from None
         return float(self.matrix[line, self.bus_position(bus)])
 
 
@@ -276,7 +278,7 @@ def exchange_buses(request_bus, offer_bus, direction: str):
         return offer_bus, request_bus
     if direction == DOWN:
         return request_bus, offer_bus
-    raise MarketError(f"unknown direction {direction!r}")
+    raise MarketError(f"unknown direction {shown(direction)}")
 
 
 def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> np.ndarray:

@@ -47,7 +47,7 @@ from typing import Hashable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MarketError, UnknownBusError
+from .errors import MarketError, UnknownBusError, shown
 from .grid import (
     DOWN,
     QUANTITY_TOL,
@@ -107,7 +107,9 @@ def _scenario(scenario) -> frozenset:
             raise TypeError
         return frozenset(scenario)
     except TypeError:  # not a collection, or one holding an unhashable item
-        raise MarketError(f"a scenario is a collection of match ids, not {scenario!r}") from None
+        raise MarketError(
+            f"a scenario is a collection of match ids, not {shown(scenario)}"
+        ) from None
 
 
 @dataclass(slots=True)
@@ -115,8 +117,9 @@ class Bid:
     """A flexibility offer or request resting in (or entering) the book.
 
     ``id`` is a non-empty string, so every bid can be dumped and read
-    back. Its quantity is a :func:`~flexmarket.grid.finite_number` above
-    zero and its price one not below zero, or it raises :class:`MarketError`.
+    back. Its quantity is a :func:`~flexmarket.grid.finite_number` (a
+    ``float`` or an ``int``) above zero and its price one not below zero,
+    or it raises :class:`MarketError`.
     ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
@@ -137,11 +140,11 @@ class Bid:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.id, str) and self.id):
-            raise MarketError(f"bid id must be a non-empty string, got {self.id!r}")
+            raise MarketError(f"bid id must be a non-empty string, got {shown(self.id)}")
         if self.side not in SIDES:
-            raise MarketError(f"bid {self.id}: unknown side {self.side!r}")
+            raise MarketError(f"bid {self.id}: unknown side {shown(self.side)}")
         if self.direction not in (UP, DOWN):
-            raise MarketError(f"bid {self.id}: unknown direction {self.direction!r}")
+            raise MarketError(f"bid {self.id}: unknown direction {shown(self.direction)}")
         if not (finite_number(self.quantity_kw) and self.quantity_kw > 0):
             raise MarketError(f"bid {self.id}: quantity_kw must be a finite number > 0")
         if not (finite_number(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
@@ -206,7 +209,8 @@ class OrderBook:
     ``scenarios`` policy checks, each a collection of match ids, and no
     other policy takes any. ``order`` is one of :data:`ORDERS`. A bad
     configuration raises :class:`MarketError`, and so does a baseline
-    injection that is not a :func:`~flexmarket.grid.finite_number`.
+    injection that is not a :func:`~flexmarket.grid.finite_number` (a
+    ``float`` or an ``int``).
 
     The baseline dispatch is mutated only by matches with unconditional
     requests and stays line-feasible at all times; accepted conditional
@@ -224,23 +228,23 @@ class OrderBook:
         order: str = ORDER_FIFO,
     ):
         if order not in ORDERS:
-            raise MarketError(f"unknown counterparty order {order!r}")
+            raise MarketError(f"unknown counterparty order {shown(order)}")
         if policy not in POLICY_VARIANTS:
-            raise MarketError(f"unknown policy variant {policy!r}")
+            raise MarketError(f"unknown policy variant {shown(policy)}")
         try:
             scenarios = tuple(map(_scenario, scenarios))
         except TypeError:  # ``scenarios`` itself is not a collection
-            raise MarketError(f"scenarios must be a collection, not {scenarios!r}") from None
+            raise MarketError(f"scenarios must be a collection, not {shown(scenarios)}") from None
         if policy != SCENARIOS and scenarios:
             raise MarketError(f"only the scenarios policy takes scenarios, not {policy}")
         if policy == SCENARIOS and not scenarios:
             raise MarketError("scenarios policy requires a non-empty scenario list")
-        unknown = set(baseline.injection_kw) - set(network.buses)
+        unknown = sorted(shown(b, str) for b in set(baseline.injection_kw) - set(network.buses))
         if unknown:
-            raise UnknownBusError(f"baseline names unknown buses: {sorted(map(str, unknown))}")
+            raise UnknownBusError(f"baseline names unknown buses: {unknown}")
         for bus, injection in baseline.injection_kw.items():
             if not finite_number(injection):
-                raise MarketError(f"baseline injection at bus {bus!r} is not a finite number")
+                raise MarketError(f"baseline injection at bus {shown(bus)} is not a finite number")
 
         self.network = network
         self.policy = policy
@@ -342,7 +346,7 @@ class OrderBook:
             try:
                 record = by_id[match_id]
             except KeyError:
-                raise MarketError(f"unknown match id {match_id!r}") from None
+                raise MarketError(f"unknown match id {shown(match_id)}") from None
             snapshot.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
         return snapshot
 
@@ -353,7 +357,7 @@ class OrderBook:
                 if bid.id == bid_id:
                     del pool[i]
                     return bid
-        raise MarketError(f"no live bid with id {bid_id!r}")
+        raise MarketError(f"no live bid with id {shown(bid_id)}")
 
     def snapshot(self) -> dict:
         """The book's state as the keywords :meth:`restore` takes.
@@ -395,10 +399,10 @@ class OrderBook:
         original quantity is not a finite number, duplicate bid ids,
         sequence numbers or match ids, a sequence number after
         ``sequence``, a ``round`` other than ``sequence`` (each submission
-        counts both), an accepted match that is not conditional, whose
-        quantity is not a finite number above zero or whose id ``m<N>``
-        has N above ``match_counter``, or a bid or match on an unknown
-        bus. Every input is checked before the book changes, so a failed
+        counts both), an accepted match whose id is not a ``str``, that is
+        not conditional, whose quantity is not a finite number above zero
+        or whose id ``m<N>`` has N above ``match_counter``, or a bid or
+        match on an unknown bus. Every input is checked before the book changes, so a failed
         restore leaves it fresh.
         """
         if self.round or self._seen_ids or self.accepted:
@@ -406,14 +410,34 @@ class OrderBook:
         resting = list(map(copy.copy, resting))
         for bid in resting:
             if type(bid.sequence) is not int:
-                raise MarketError(f"bid {bid.id}: sequence {bid.sequence!r} is not an int")
+                raise MarketError(f"bid {bid.id}: sequence {shown(bid.sequence)} is not an int")
             if not finite_number(bid.original_quantity_kw):
                 raise MarketError(
-                    f"bid {bid.id}: original_quantity_kw {bid.original_quantity_kw!r}"
+                    f"bid {bid.id}: original_quantity_kw {shown(bid.original_quantity_kw)}"
                     " is not a finite number"
                 )
+            if bid.bus not in self.ptdf:
+                raise UnknownBusError(f"bid {bid.id}: unknown bus {shown(bid.bus)}")
         resting.sort(key=_SEQUENCE)
         accepted = list(accepted)
+        for record in accepted:
+            if type(record.match_id) is not str:
+                raise MarketError(f"match id {shown(record.match_id)} is not a str")
+            if record.conditionality != CONDITIONAL:
+                raise MarketError(f"match {record.match_id}: accepted matches are conditional")
+            if not (finite_number(record.quantity_kw) and record.quantity_kw > 0):
+                raise MarketError(
+                    f"match {record.match_id}: quantity_kw {shown(record.quantity_kw)}"
+                    " is not a finite number > 0"
+                )
+            number = record.match_id[1:]
+            if record.match_id[:1] == "m" and number.isdecimal() and int(number) > match_counter:
+                raise MarketError(
+                    f"match {record.match_id}: id is above match_counter {shown(match_counter)}"
+                )
+            for bus in (record.inject_bus, record.withdraw_bus):
+                if bus not in self.ptdf:
+                    raise UnknownBusError(f"match {record.match_id}: unknown bus {shown(bus)}")
         for what, key, items in (
             ("bid id", attrgetter("id"), resting),
             ("sequence number", _SEQUENCE, resting),
@@ -422,33 +446,15 @@ class OrderBook:
             values: set = set()
             for item in items:
                 if key(item) in values:
-                    raise MarketError(f"duplicate {what} {key(item)!r}")
+                    raise MarketError(f"duplicate {what} {shown(key(item))}")
                 values.add(key(item))
-        for bid in resting:
-            if bid.bus not in self.ptdf:
-                raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
-        for record in accepted:
-            if record.conditionality != CONDITIONAL:
-                raise MarketError(f"match {record.match_id}: accepted matches are conditional")
-            if not (finite_number(record.quantity_kw) and record.quantity_kw > 0):
-                raise MarketError(
-                    f"match {record.match_id}: quantity_kw {record.quantity_kw!r}"
-                    " is not a finite number > 0"
-                )
-            number = record.match_id[1:]
-            if record.match_id[:1] == "m" and number.isdecimal() and int(number) > match_counter:
-                raise MarketError(
-                    f"match {record.match_id}: id is above match_counter {match_counter}"
-                )
-            for bus in (record.inject_bus, record.withdraw_bus):
-                if bus not in self.ptdf:
-                    raise UnknownBusError(f"match {record.match_id}: unknown bus {bus!r}")
         if resting and resting[-1].sequence > sequence:
             raise MarketError(
-                f"bid {resting[-1].id}: sequence {resting[-1].sequence} is after {sequence}"
+                f"bid {resting[-1].id}: sequence {shown(resting[-1].sequence)}"
+                f" is after {shown(sequence)}"
             )
         if round != sequence:
-            raise MarketError(f"round {round} and sequence {sequence} differ")
+            raise MarketError(f"round {shown(round)} and sequence {shown(sequence)} differ")
         seen_ids = set(seen_ids).union(bid.id for bid in resting)
 
         self.round = round
@@ -464,9 +470,9 @@ class OrderBook:
 
     def _validate_bid(self, bid: Bid) -> None:
         if bid.id in self._seen_ids:
-            raise MarketError(f"duplicate bid id {bid.id!r}")
+            raise MarketError(f"duplicate bid id {shown(bid.id)}")
         if bid.bus not in self.ptdf:
-            raise UnknownBusError(f"bid {bid.id}: unknown bus {bid.bus!r}")
+            raise UnknownBusError(f"bid {bid.id}: unknown bus {shown(bid.bus)}")
 
     def _counterparties(self, incoming: Bid) -> list:
         """Same-direction counterparties whose price crosses the incoming bid's.
@@ -521,17 +527,11 @@ class OrderBook:
                 conditionality=request.conditionality,
                 round=self.round,
             )
-            full = admissible >= quantity - QUANTITY_TOL
             self._fill(offer, admissible)
             self._fill(request, admissible)
-            self._log(
-                offer,
-                request,
-                admissible,
-                price,
-                OUTCOME_MATCHED if full else OUTCOME_PARTIAL,
-                () if full else binding,
-            )
+            # Lines bind exactly when the full quantity does not fit.
+            outcome = OUTCOME_PARTIAL if binding else OUTCOME_MATCHED
+            self._log(offer, request, admissible, price, outcome, binding)
             if record.conditionality == UNCONDITIONAL:
                 self._apply_to_baseline(record)
             else:

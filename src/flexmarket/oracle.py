@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MarketError, NetworkError, UnknownBusError
+from .errors import MarketError, NetworkError, UnknownBusError, shown
 from .grid import DispatchState, Network, QUANTITY_TOL
 
 
@@ -54,7 +54,7 @@ def dc_solve(network: Network, dispatch: DispatchState) -> np.ndarray:
     try:
         injections = np.array([dispatch.injection_kw[b] for b in buses], dtype=float)
     except KeyError as exc:
-        raise UnknownBusError(f"dispatch has no entry for bus {exc.args[0]!r}") from None
+        raise UnknownBusError(f"dispatch has no entry for bus {shown(exc.args[0])}") from None
 
     slack = pos[network.slack_bus]
     keep = [i for i in range(n) if i != slack]
@@ -92,7 +92,7 @@ def exhaustive_subset_check(network: Network, baseline: DispatchState, matches: 
     combination of real-time activations can violate a line limit.
     """
     if len(matches) > 20:
-        raise MarketError(f"{len(matches)} matches would need {2 ** len(matches)} subsets")
+        raise MarketError(f"{len(matches)} matches would need {shown(2 ** len(matches))} subsets")
     reports = []
     for mask in range(2 ** len(matches)):
         subset = [record for bit, record in enumerate(matches) if mask >> bit & 1]

@@ -8,6 +8,10 @@ from flexmarket import Bid, DispatchState, Line, Network, build_ptdf, line_flows
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# An int too long to write out in decimal (formatting it raises a bare
+# ValueError), and how an error message shows it.
+HUGE = 10 ** 5000
+TOO_LONG = "<int too long to show>"
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flexmarket
-from flexmarket import grid
+from flexmarket import cli as cli_module, fileio, grid
 from flexmarket.cli import main
 
 from conftest import DATA, GOLDEN
@@ -29,6 +29,23 @@ def test_run_writes_trades_and_book(tmp_path, capsys):
     assert len(printed) == 3
     assert (out / "trades.jsonl").read_text().strip().splitlines() == printed
     assert json.loads((out / "book.json").read_text())["round"] == 4
+
+
+def test_run_out_formats_the_trade_log_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return lines(entries)
+
+    lines = fileio.trade_log_lines
+    monkeypatch.setattr(fileio, "trade_log_lines", counted)
+    monkeypatch.setattr(cli_module, "trade_log_lines", counted)
+    out = tmp_path / "out"
+    network, bids = str(DATA / "fifteen_bus.yaml"), str(DATA / "bids_fifteen_bus.jsonl")
+    assert main(["run", "--network", network, "--bids", bids, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "trades.jsonl").read_text() == capsys.readouterr().out
 
 
 def test_run_policy_aliases(capsys):
@@ -175,6 +192,51 @@ def test_check_exhaustive_flags_unsafe_logs(tmp_path, capsys):
     )
     assert code == 1
     assert "1-2" in capsys.readouterr().out
+
+
+def test_check_exhaustive_names_matches_as_the_book_does(tmp_path, capsys):
+    # A pair refused for congestion comes first; the book does not number it.
+    rejected = [
+        {"id": "req_x", "side": "request", "direction": "up", "bus": 3, "quantity_kw": 10,
+         "price_eur_per_kw": 0.05, "conditionality": "conditional"},
+        {"id": "offer_x", "side": "offer", "direction": "up", "bus": 1, "quantity_kw": 10,
+         "price_eur_per_kw": 0.045},
+    ]
+    bids = tmp_path / "bids.jsonl"
+    bids.write_text(
+        "".join(json.dumps(record) + "\n" for record in rejected)
+        + (DATA / "bids_joint_overload.jsonl").read_text()
+    )
+    network, out = str(DATA / "three_bus.yaml"), tmp_path / "out"
+    run = ["run", "--network", network, "--bids", str(bids), "--policy", "individual"]
+    assert main(run + ["--out", str(out)]) == 0
+    assert '"outcome": "rejected(congestion)"' in (out / "trades.jsonl").read_text()
+    capsys.readouterr()
+    check = ["check", "--network", network, "--bids", str(bids)]
+    assert main(check + ["--trades", str(out / "trades.jsonl")]) == 1
+    (report,) = [line for line in capsys.readouterr().out.splitlines() if "subset" in line]
+    dumped = json.loads((out / "book.json").read_text())["accepted_matches"]
+    named = "{" + ", ".join(record["match_id"] for record in dumped) + "}"
+    assert report.startswith(f"subset {named}: overloaded 1-2")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_an_overflowing_slack_balance_exits_2(tmp_path, capsys, command):
+    # Each injection is finite, but the slack balance they leave is not.
+    network = tmp_path / "net.yaml"
+    network.write_text(
+        "buses: [1, 2, 3]\nslack_bus: 1\nlines:\n"
+        "  - {from_bus: 1, to_bus: 2, reactance: 0.1, limit_kw: 60}\n"
+        "  - {from_bus: 2, to_bus: 3, reactance: 0.1, limit_kw: 20}\n"
+        "injection_kw: {2: -1.0e+308, 3: -1.0e+308}\n"
+    )
+    args = [command, "--network", str(network)]
+    if command == "run":
+        args += ["--bids", str(DATA / "bids_reevaluation.jsonl")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {network}: the slack balance inf kW is not a finite number\n"
 
 
 @pytest.mark.parametrize(

@@ -387,14 +387,6 @@ class TestRunReplay:
             run_replay(path, DATA / "bids_reevaluation.jsonl", MarketConfig())
         assert caught.value.exit_code == 3
 
-    def test_writes_outputs(self, tmp_path):
-        out = tmp_path / "out"
-        book = run_replay(
-            DATA / "three_bus.yaml", DATA / "bids_reevaluation.jsonl", MarketConfig(), out_dir=out
-        )
-        assert (out / "trades.jsonl").exists() and (out / "book.json").exists()
-        assert read_trade_log(out / "trades.jsonl") == book.trade_log
-
 
 class TestTradeLogRoundTrip:
     def test_write_read(self, tmp_path):

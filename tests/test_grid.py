@@ -1,7 +1,9 @@
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
+from fractions import Fraction
 from operator import setitem
 
 import numpy as np
@@ -22,11 +24,11 @@ from flexmarket import (
     load_network,
     max_tradable_quantity,
 )
-from flexmarket.grid import check_baseline
+from flexmarket.grid import check_baseline, finite_number
 from flexmarket.market import INDIVIDUAL
 from flexmarket.oracle import dc_solve
 
-from conftest import DATA, random_network, random_tree_network
+from conftest import DATA, HUGE, TOO_LONG, random_network, random_tree_network
 
 
 class TestPtdf:
@@ -86,11 +88,41 @@ class TestPtdf:
             (np.True_, 10.0, "reactance"),
             (0.1, math.inf, "limit_kw"),
             pytest.param(0.1, 10 ** 400, "limit_kw", id="huge-int"),
+            (np.int64(1), 10.0, "reactance"),
+            (0.1, np.float32(10.0), "limit_kw"),
+            (Fraction(1, 10), 10.0, "reactance"),
         ],
     )
     def test_a_line_needs_positive_numbers(self, reactance, limit, field):
         with pytest.raises(NetworkError, match=f"line 1-2: {field} must be a finite number > 0"):
             Line("1", "2", reactance, limit)
+
+    # A bus label too long to write out in decimal, as each structural error shows it.
+    @pytest.mark.parametrize(
+        "buses, lines, slack, message",
+        [
+            ([HUGE, HUGE], [], 1, f"duplicate bus ids ['{TOO_LONG}']"),
+            ([1, 2], [(1, 2)], HUGE, f"slack bus {TOO_LONG} is not a network bus"),
+            ([1, 2, HUGE], [(1, 2)], 1, "unreachable buses: <list too long to show>"),
+            ([1, HUGE], [(HUGE, HUGE)], 1, f"line {TOO_LONG}-{TOO_LONG} is a self-loop"),
+        ],
+        ids=["duplicate", "slack", "unreachable", "self-loop"],
+    )
+    def test_a_huge_int_bus_gets_the_networks_own_error(self, buses, lines, slack, message):
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            Network(buses, [Line(a, b, 0.1, 10.0) for a, b in lines], slack)
+
+    @pytest.mark.parametrize(
+        "value, admitted",
+        [
+            (5, True), (5.0, True), (np.float64(5.0), True), (-0.0, True),
+            (True, False), (np.True_, False), (np.int64(5), False), (np.float32(5.0), False),
+            (Fraction(5), False), (Decimal(5), False), ("5", False), (math.nan, False),
+            (10 ** 400, False),
+        ],
+    )
+    def test_finite_number_admits_only_what_the_files_hold(self, value, admitted):
+        assert finite_number(value) is admitted
 
     @pytest.mark.parametrize("reactance", [1.0e-320, np.float64(1.0e-320)], ids=["float", "float64"])
     def test_a_non_finite_ptdf_is_refused_without_warnings(self, reactance):

@@ -1,6 +1,8 @@
 import math
+import re
 import threading
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from flexmarket.market import (
     SCENARIOS,
 )
 
-from conftest import DATA
+from conftest import DATA, HUGE, TOO_LONG
 
 
 def request(id, direction, bus, quantity, price, conditionality="conditional"):
@@ -123,10 +125,14 @@ class TestBidValidation:
             (Decimal("5"), 0.05, QUANTITY),
             (np.True_, 0.05, QUANTITY),
             (5.0, np.True_, PRICE),
+            # No writer can write these, so a book holding one could not be dumped.
+            (np.int64(5), 0.05, QUANTITY),
+            (np.float32(5.0), 0.05, QUANTITY),
+            (5.0, Fraction(1, 20), PRICE),
         ],
         ids=[
             "str", "none", "huge-int", "list", "bool", "false-price", "decimal", "np-bool",
-            "np-bool-price",
+            "np-bool-price", "np-int64", "np-float32", "fraction",
         ],
     )
     def test_a_non_number_is_a_market_error(self, quantity, price, message):
@@ -155,15 +161,56 @@ NUMBER_GATES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["nan", "inf", "string", "bool", "decimal"])
+NON_NUMBERS = {
+    "nan": lambda text: math.nan,
+    "inf": lambda text: math.inf,
+    "string": str,
+    "bool": lambda text: True,
+    "decimal": Decimal,
+    "np-int64": lambda text: np.int64(int(text)),
+    "np-float32": lambda text: np.float32(float(text)),
+    "fraction": Fraction,
+}
+
+
+@pytest.mark.parametrize("kind", list(NON_NUMBERS))
 @pytest.mark.parametrize("gate", list(NUMBER_GATES))
 def test_every_number_gate_refuses_what_is_not_a_finite_number(three_bus, gate, kind):
     call, text, message = NUMBER_GATES[gate]
-    value = {
-        "nan": math.nan, "inf": math.inf, "string": text, "bool": True, "decimal": Decimal(text)
-    }[kind]
+    value = NON_NUMBERS[kind](text)
     with pytest.raises(MarketError, match=f"^{message}$"):
         call(three_bus, value)
+
+
+# Each library gate given a huge int where a caller value goes: the call and its refusal.
+HUGE_INT_GATES = {
+    "bid-id": (lambda book: offer(HUGE, "up", "1", 5, 0.05), MarketError,
+               f"bid id must be a non-empty string, got {TOO_LONG}"),
+    "bid-side": (lambda book: Bid("o", HUGE, "up", "1", 5, 0.05), MarketError,
+                 f"bid o: unknown side {TOO_LONG}"),
+    "policy": (lambda book: OrderBook(book.network, book.baseline, HUGE), MarketError,
+               f"unknown policy variant {TOO_LONG}"),
+    "baseline-bus": (
+        lambda book: OrderBook(book.network, DispatchState({HUGE: 0.0}), INDIVIDUAL),
+        UnknownBusError, f"baseline names unknown buses: ['{TOO_LONG}']",
+    ),
+    "cancel": (lambda book: book.cancel_bid(HUGE), MarketError, f"no live bid with id {TOO_LONG}"),
+    "submit-bus": (lambda book: book.submit_bid(offer("o", "up", HUGE, 5, 0.05)),
+                   UnknownBusError, f"bid o: unknown bus {TOO_LONG}"),
+    "snapshot": (lambda book: book.activation_snapshot([HUGE]), MarketError,
+                 f"unknown match id {TOO_LONG}"),
+    "candidate-bus": (lambda book: book.check_combination_feasibility(HUGE, "1", "up", 5),
+                      UnknownBusError, f"unknown bus {TOO_LONG}"),
+    "candidate-direction": (lambda book: book.check_combination_feasibility("3", "1", HUGE, 5),
+                            MarketError, f"unknown direction {TOO_LONG}"),
+}
+
+
+@pytest.mark.parametrize("gate", list(HUGE_INT_GATES))
+def test_a_huge_int_gets_the_gates_own_error(three_bus, gate):
+    call, error, message = HUGE_INT_GATES[gate]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(make_book(three_bus, INDIVIDUAL))
 
 
 class TestSubmission:
@@ -494,6 +541,10 @@ class TestRestore:
              "match m2: unknown bus '9'"),
             ([accepted_match("m1"), accepted_match("m2", withdraw_bus=["3"])], UnknownBusError,
              r"match m2: unknown bus \['3'\]"),
+            # restore parses an id as m<N>, which only a string holds.
+            ([accepted_match(5)], MarketError, "match id 5 is not a str"),
+            ([accepted_match(["m1"])], MarketError, r"match id \['m1'\] is not a str"),
+            ([accepted_match(HUGE)], MarketError, f"match id {TOO_LONG} is not a str"),
             # The book would hand out m3 again on its next match.
             ([accepted_match("m1"), accepted_match("m3")], MarketError,
              "match m3: id is above match_counter 2"),
@@ -522,6 +573,8 @@ class TestRestore:
             ("sequence", 1.5),
             ("original_quantity_kw", float("nan")),
             ("original_quantity_kw", float("inf")),
+            ("original_quantity_kw", np.int64(5)),
+            pytest.param("original_quantity_kw", HUGE, id="original_quantity_kw-huge-int"),
         ],
     )
     def test_restore_refuses_a_bid_it_could_not_dump(self, three_bus, field, value):
