@@ -13,7 +13,6 @@ string (``2`` is bus ``"2"``); anything else is an input error.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -77,11 +76,13 @@ class MarketConfig:
     order: str = ORDER_FIFO
 
     def __post_init__(self) -> None:
-        self.policy = POLICY_ALIASES.get(self.policy, self.policy)
+        if isinstance(self.policy, str):  # an alias is a str; the book refuses any other policy
+            self.policy = POLICY_ALIASES.get(self.policy, self.policy)
         if self.policy == SCENARIOS and self.scenarios_path is None:
             raise InputError("the scenarios policy needs a scenarios file")
         if self.policy != SCENARIOS and self.scenarios_path is not None:
-            raise InputError(f"only the scenarios policy reads a scenarios file, not {self.policy}")
+            policy = shown(self.policy, str)
+            raise InputError(f"only the scenarios policy reads a scenarios file, not {policy}")
 
 
 # ----------------------------------------------------------------------
@@ -469,29 +470,21 @@ def _json_block(items: list, brackets: str) -> str:
 # The dump's keys, and those of its bids and matches, in the sorted order json.dumps writes.
 _BOOK_KEYS = tuple(sorted(_DUMP_FIELDS))
 _BOOK_TEMPLATE = _object_template(_BOOK_KEYS, 0)
-_BID_KEYS = tuple(sorted(_DUMP_BID_FIELDS))
-_bid_values = attrgetter(*_BID_KEYS)
 _MATCH_TEMPLATE = _object_template(sorted(_DUMP_MATCH_FIELDS), 4)
 _match_values = attrgetter(*sorted(_DUMP_MATCH_FIELDS))
-
-
-@functools.cache
-def _bid_template(keys: tuple) -> str:
-    """The template of a dumped bid whose non-``None`` fields are ``keys``.
-
-    A request has every field and an offer all but its conditionality;
-    another shape is built the first time a bid of it is dumped.
-    """
-    return _object_template(keys, 4)
+# The template and getter of each bid shape Bid admits: an offer has no conditionality.
+_BID_SHAPES = {
+    side: (_object_template(keys, 4), attrgetter(*keys))
+    for side, keys in (
+        (REQUEST, sorted(_DUMP_BID_FIELDS)),
+        (OFFER, sorted(_DUMP_BID_FIELDS.keys() - {"conditionality"})),
+    )
+}
 
 
 def _bid_record(bid: Bid) -> str:
-    values = _bid_values(bid)
-    keys = _BID_KEYS
-    if None in values:
-        keys = tuple(key for key, value in zip(keys, values) if value is not None)
-        values = [value for value in values if value is not None]
-    return _bid_template(keys) % tuple(map(_json_value, values))
+    template, values = _BID_SHAPES[bid.side]
+    return template % tuple(map(_json_value, values(bid)))
 
 
 def book_json(book: OrderBook) -> str:

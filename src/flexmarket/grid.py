@@ -66,16 +66,14 @@ class Line:
 
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
-            raise NetworkError(
-                f"line {shown(self.from_bus, str)}-{shown(self.to_bus, str)} is a self-loop"
-            )
+            raise NetworkError(f"line {self.label} is a self-loop")
         for name in ("reactance", "limit_kw"):
             if not (finite_number(value := getattr(self, name)) and value > 0):
                 raise NetworkError(f"line {self.label}: {name} must be a finite number > 0")
 
     @property
     def label(self) -> str:
-        return f"{self.from_bus}-{self.to_bus}"
+        return f"{shown(self.from_bus, str)}-{shown(self.to_bus, str)}"
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,11 @@ class Network:
             if line.from_bus not in bus_set or line.to_bus not in bus_set:
                 raise NetworkError(f"line {line.label} references an unknown bus")
         self._check_connected()
+        for bus in self.buses:
+            try:
+                str(bus)  # every bus is written into the line labels
+            except ValueError:  # an int too long to write out
+                raise NetworkError(f"bus {shown(bus, str)} cannot be written as a label") from None
         labels = []
         seen: dict = {}
         for line in self.lines:

@@ -40,8 +40,8 @@ difference capped against cached rooms.
 from __future__ import annotations
 
 import bisect
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from decimal import Decimal
 from operator import attrgetter
 from typing import Hashable, Iterable, NamedTuple, Optional
 
@@ -116,10 +116,11 @@ def _scenario(scenario) -> frozenset:
 class Bid:
     """A flexibility offer or request resting in (or entering) the book.
 
-    ``id`` is a non-empty string, so every bid can be dumped and read
-    back. Its quantity is a :func:`~flexmarket.grid.finite_number` (a
-    ``float`` or an ``int``) above zero and its price one not below zero,
-    or it raises :class:`MarketError`.
+    The one gate of every field, which the book and the dump writer trust:
+    it raises :class:`MarketError` unless ``id`` is a non-empty string,
+    the quantity a :func:`~flexmarket.grid.finite_number` (a ``float`` or
+    an ``int``) above zero, the price one not below zero, any given
+    original quantity a finite number and the sequence an ``int``.
     ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
@@ -152,16 +153,21 @@ class Bid:
         if self.side == REQUEST:
             if self.conditionality not in (CONDITIONAL, UNCONDITIONAL):
                 raise MarketError(f"request {self.id} must be 'conditional' or 'unconditional'")
+            conditional = self.conditionality == CONDITIONAL
+            self.conditionality = CONDITIONAL if conditional else UNCONDITIONAL
         elif self.conditionality is not None:
             raise MarketError(f"offer {self.id} must not carry a conditionality")
-        self.side = OFFER if self.side == OFFER else REQUEST
-        self.direction = UP if self.direction == UP else DOWN
-        if self.conditionality is not None:
-            self.conditionality = (
-                CONDITIONAL if self.conditionality == CONDITIONAL else UNCONDITIONAL
-            )
+        if type(self.sequence) is not int:
+            raise MarketError(f"bid {self.id}: sequence {shown(self.sequence)} is not an int")
         if self.original_quantity_kw is None:
             self.original_quantity_kw = self.quantity_kw
+        elif not finite_number(self.original_quantity_kw):
+            raise MarketError(
+                f"bid {self.id}: original_quantity_kw {shown(self.original_quantity_kw)}"
+                " is not a finite number"
+            )
+        self.side = OFFER if self.side == OFFER else REQUEST
+        self.direction = UP if self.direction == UP else DOWN
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,21 +338,27 @@ class OrderBook:
         policy mandates, each applied in full on top of the baseline,
         and returns the smallest allowance (zero when some mandated
         combination leaves no headroom). The candidate is checked as a
-        conditional match.
+        conditional match; a quantity that is not a finite number above
+        zero raises :class:`MarketError`.
         """
         inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
-        quantity, _ = self._evaluate_candidate(inject_bus, withdraw_bus, quantity_kw, CONDITIONAL)
-        return quantity
+        if not (finite_number(quantity_kw) and quantity_kw > 0):
+            raise MarketError("candidate quantity must be a finite number > 0")
+        return self._evaluate_candidate(inject_bus, withdraw_bus, quantity_kw, CONDITIONAL)[0]
 
     def activation_snapshot(self, match_ids: Iterable) -> DispatchState:
-        """Baseline plus full activation of the named accepted matches."""
+        """Baseline plus full activation of the named accepted matches, refusing any other id."""
+        try:
+            match_ids = iter(match_ids)
+        except TypeError:
+            raise MarketError(f"match ids must be a collection, not {shown(match_ids)}") from None
         by_id = {rec.match_id: rec for rec in self.accepted}
         snapshot = self.baseline.copy()
         for match_id in match_ids:
-            try:
-                record = by_id[match_id]
-            except KeyError:
-                raise MarketError(f"unknown match id {shown(match_id)}") from None
+            # Accepted match ids are strs: nothing else, an unhashable value included, names one.
+            record = by_id.get(match_id) if type(match_id) is str else None
+            if record is None:
+                raise MarketError(f"unknown match id {shown(match_id)}")
             snapshot.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
         return snapshot
 
@@ -390,34 +402,28 @@ class OrderBook:
     ) -> None:
         """Resume a fresh book from the state of an earlier session.
 
-        ``resting`` are the bids still in the book, in any order; the
-        book keeps copies of them, and each pool is rebuilt in sequence
-        order, which is the order clearing relies on. ``accepted`` are
-        the conditional matches in acceptance order. Raises
-        :class:`MarketError` for a state the book could not have
-        reached: a bid whose sequence number is not an ``int`` or whose
-        original quantity is not a finite number, duplicate bid ids,
-        sequence numbers or match ids, a sequence number after
-        ``sequence``, a ``round`` other than ``sequence`` (each submission
-        counts both), an accepted match whose id is not a ``str``, that is
-        not conditional, whose quantity is not a finite number above zero
-        or whose id ``m<N>`` has N above ``match_counter``, or a bid or
-        match on an unknown bus. Every input is checked before the book changes, so a failed
-        restore leaves it fresh.
+        ``resting`` are the bids still in the book, in any order; the book keeps
+        copies that :class:`Bid` checks, each pool in sequence order. ``accepted``
+        are the conditional matches in acceptance order. Raises :class:`MarketError`
+        for a state the book could not have reached: a counter that is not an
+        ``int`` >= 0 that can be written, duplicate bid ids, sequence numbers or
+        match ids, a sequence number after ``sequence``, a ``round`` other than
+        ``sequence`` (each submission counts both), an accepted match whose id is
+        not a ``str``, that is not conditional, whose quantity is not a finite
+        number above zero or whose id ``m<N>`` has N above ``match_counter``, or a
+        bid or match on an unknown bus. Every input is checked before the book
+        changes, so a failed restore leaves it fresh.
         """
         if self.round or self._seen_ids or self.accepted:
             raise MarketError("restore needs a fresh book")
-        resting = list(map(copy.copy, resting))
+        counters = {"round": round, "sequence": sequence, "match_counter": match_counter}
+        for name, counter in counters.items():
+            # shown() writes a negative int with a sign and one too long to write as a placeholder.
+            if type(counter) is not int or not shown(counter, str).isdecimal():
+                raise MarketError(f"{name} {shown(counter)} is not an int >= 0 that can be written")
+        resting = [replace(bid) for bid in resting]
         for bid in resting:
-            if type(bid.sequence) is not int:
-                raise MarketError(f"bid {bid.id}: sequence {shown(bid.sequence)} is not an int")
-            if not finite_number(bid.original_quantity_kw):
-                raise MarketError(
-                    f"bid {bid.id}: original_quantity_kw {shown(bid.original_quantity_kw)}"
-                    " is not a finite number"
-                )
-            if bid.bus not in self.ptdf:
-                raise UnknownBusError(f"bid {bid.id}: unknown bus {shown(bid.bus)}")
+            self._validate_bid(bid)  # a fresh book has seen no id, so this checks the bus
         resting.sort(key=_SEQUENCE)
         accepted = list(accepted)
         for record in accepted:
@@ -430,8 +436,9 @@ class OrderBook:
                     f"match {record.match_id}: quantity_kw {shown(record.quantity_kw)}"
                     " is not a finite number > 0"
                 )
-            number = record.match_id[1:]
-            if record.match_id[:1] == "m" and number.isdecimal() and int(number) > match_counter:
+            prefix, number = record.match_id[:1], record.match_id[1:]
+            # Decimal reads a numeral of any length, where int() refuses one of over 4,300 digits.
+            if prefix == "m" and number.isdecimal() and Decimal(number) > match_counter:
                 raise MarketError(
                     f"match {record.match_id}: id is above match_counter {shown(match_counter)}"
                 )
@@ -558,10 +565,8 @@ class OrderBook:
         if bid.quantity_kw <= QUANTITY_TOL:
             bid.quantity_kw = 0.0
             pool = self.offers if bid.side == OFFER else self.requests
-            # Sequence numbers are unique and each pool is sorted by them.
-            i = bisect.bisect_left(pool, bid.sequence, key=_SEQUENCE)
-            if i < len(pool) and pool[i] is bid:
-                del pool[i]
+            # A bid is filled only while in its pool, sorted by the unique sequence numbers.
+            del pool[bisect.bisect_left(pool, bid.sequence, key=_SEQUENCE)]
 
     def _apply_to_baseline(self, record: MatchRecord) -> None:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
@@ -591,10 +596,8 @@ class OrderBook:
 
         Returns the admissible quantity, as :func:`admissible_quantity`
         decides it, and the labels of the lines whose cap bound it (empty
-        when the full quantity goes through).
+        when the full quantity goes through). Callers have checked ``quantity_kw``.
         """
-        if not (finite_number(quantity_kw) and quantity_kw > 0):
-            raise MarketError("candidate quantity must be a finite number > 0")
         alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
         line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
         quantity = admissible_quantity(line_caps, quantity_kw)

@@ -9,6 +9,7 @@ from flexmarket import (
     InfeasibleBaselineError,
     InputError,
     MarketConfig,
+    MarketError,
     NetworkError,
     audit_trade_log,
     book_json,
@@ -27,7 +28,7 @@ from flexmarket import (
 from flexmarket import fileio, grid, market
 from flexmarket.grid import build_ptdf
 
-from conftest import DATA, GOLDEN
+from conftest import DATA, GOLDEN, HUGE, TOO_LONG
 
 THREE_BUS_TEMPLATE = """\
 buses: [1, 2, 3]
@@ -386,6 +387,18 @@ class TestRunReplay:
         with pytest.raises(InfeasibleBaselineError, match="line 2-3") as caught:
             run_replay(path, DATA / "bids_reevaluation.jsonl", MarketConfig())
         assert caught.value.exit_code == 3
+
+
+class TestMarketConfig:
+    def test_a_policy_that_is_no_str_gets_the_books_error(self):
+        # An alias is a str; a list used to raise a bare TypeError looking one up.
+        config = MarketConfig(policy=[1])
+        with pytest.raises(MarketError, match=r"^unknown policy variant \[1\]$"):
+            new_book(*load_network(DATA / "three_bus.yaml"), config)
+
+    def test_a_huge_int_policy_with_a_scenarios_file_gets_the_configs_error(self):
+        with pytest.raises(InputError, match=f"scenarios file, not {TOO_LONG}$"):
+            MarketConfig(policy=HUGE, scenarios_path="scenarios.yaml")
 
 
 class TestTradeLogRoundTrip:

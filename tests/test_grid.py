@@ -105,12 +105,20 @@ class TestPtdf:
             ([1, 2], [(1, 2)], HUGE, f"slack bus {TOO_LONG} is not a network bus"),
             ([1, 2, HUGE], [(1, 2)], 1, "unreachable buses: <list too long to show>"),
             ([1, HUGE], [(HUGE, HUGE)], 1, f"line {TOO_LONG}-{TOO_LONG} is a self-loop"),
+            # These two used to raise a bare ValueError while writing a line label.
+            ([1, 2], [(1, HUGE)], 1, f"line 1-{TOO_LONG} references an unknown bus"),
+            ([1, HUGE], [(1, HUGE)], 1, f"bus {TOO_LONG} cannot be written as a label"),
         ],
-        ids=["duplicate", "slack", "unreachable", "self-loop"],
+        ids=["duplicate", "slack", "unreachable", "self-loop", "unknown-bus", "label"],
     )
     def test_a_huge_int_bus_gets_the_networks_own_error(self, buses, lines, slack, message):
         with pytest.raises(NetworkError, match=re.escape(message)):
             Network(buses, [Line(a, b, 0.1, 10.0) for a, b in lines], slack)
+
+    def test_a_huge_int_bus_gets_the_lines_own_error(self):
+        message = f"line {TOO_LONG}-2: limit_kw must be a finite number > 0"
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            Line(HUGE, "2", 0.1, 0)
 
     @pytest.mark.parametrize(
         "value, admitted",

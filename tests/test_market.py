@@ -20,6 +20,7 @@ from flexmarket import (
     load_network,
     max_tradable_quantity,
 )
+from flexmarket.errors import shown
 from flexmarket.oracle import dc_solve, flow_violations
 from flexmarket.market import (
     ALL_COMBINATIONS,
@@ -138,6 +139,24 @@ class TestBidValidation:
     def test_a_non_number_is_a_market_error(self, quantity, price, message):
         with pytest.raises(MarketError, match=f"^{message}$"):
             offer("o", "up", "1", quantity, price)
+
+    # No writer can write these back, and the book numbers and fills by them.
+    @pytest.mark.parametrize(
+        "sequence, original, message",
+        [
+            ("2", None, "sequence '2' is not an int"),
+            (True, None, "sequence True is not an int"),
+            (1.5, None, "sequence 1.5 is not an int"),
+            (2, float("nan"), "original_quantity_kw nan is not a finite number"),
+            (2, "5", "original_quantity_kw '5' is not a finite number"),
+            (2, np.int64(5), f"original_quantity_kw {repr(np.int64(5))} is not a finite number"),
+            (2, HUGE, f"original_quantity_kw {TOO_LONG} is not a finite number"),
+        ],
+        ids=["str", "bool", "float", "nan", "str-original", "np-int64", "huge-int"],
+    )
+    def test_sequence_and_original_quantity_are_checked(self, sequence, original, message):
+        with pytest.raises(MarketError, match=f"^bid r: {re.escape(message)}$"):
+            Bid("r", "request", "up", "1", 10, 0.05, "conditional", sequence, original)
 
 
 def baseline_gate(three_bus, injection):
@@ -486,6 +505,22 @@ class TestActivationSnapshot:
         with pytest.raises(MarketError, match="unknown match id"):
             book.activation_snapshot(["m99"])
 
+    # Each of these used to raise a bare TypeError.
+    @pytest.mark.parametrize(
+        "match_ids, message",
+        [
+            ([["m1"]], "unknown match id ['m1']"),
+            ([{"m1": 1}], "unknown match id {'m1': 1}"),
+            (5, "match ids must be a collection, not 5"),
+            (None, "match ids must be a collection, not None"),
+        ],
+        ids=["unhashable", "dict", "int", "none"],
+    )
+    def test_match_ids_that_name_no_match(self, three_bus, match_ids, message):
+        book = self.fill_relief_chain(three_bus)
+        with pytest.raises(MarketError, match=f"^{re.escape(message)}$"):
+            book.activation_snapshot(match_ids)
+
 
 class TestCancel:
     def test_cancel_removes_the_remainder(self, three_bus):
@@ -554,6 +589,9 @@ class TestRestore:
                  "match m1: quantity_kw .* is not a finite number > 0")
                 for q in (-10.0, 0.0, float("nan"), float("inf"), "5", True)
             ),
+            # Too long for int(), which used to raise a bare ValueError.
+            ([accepted_match("m" + "9" * 5000)], MarketError,
+             "match m9+: id is above match_counter 2"),
         ],
     )
     def test_restore_refuses_accepted_matches_the_book_never_holds(
@@ -585,6 +623,52 @@ class TestRestore:
         with pytest.raises(MarketError, match=f"bid r2: {field} .* is not"):
             book.restore(round=2, sequence=2, match_counter=0, seen_ids=[],
                          resting=[first, odd], accepted=[])
+        assert book.snapshot() == make_book(three_bus).snapshot()
+
+    def test_a_long_match_id_of_a_small_number_restores(self, three_bus):
+        book = make_book(three_bus)
+        record = accepted_match("m" + "0" * 5000 + "2")
+        book.restore(round=0, sequence=0, match_counter=2, seen_ids=[], resting=[],
+                     accepted=[record])
+        assert book.accepted == [record]
+
+    # Each of these used to restore, or fail with a bare TypeError or
+    # ValueError, and a book restored with one breaks on its next match or dump.
+    @pytest.mark.parametrize("counter", ["round", "sequence", "match_counter"])
+    @pytest.mark.parametrize(
+        "value", ["2", 1.5, None, True, -1, HUGE],
+        ids=["str", "float", "none", "bool", "negative", "huge-int"],
+    )
+    def test_restore_refuses_a_counter_the_book_never_holds(self, three_bus, counter, value):
+        book = make_book(three_bus)
+        counters = {"round": 2, "sequence": 2, "match_counter": 2, counter: value}
+        with pytest.raises(
+            MarketError, match=f"^{counter} {re.escape(shown(value))} is not an int >= 0"
+        ):
+            book.restore(**counters, seen_ids=[], resting=[], accepted=[])
+        assert book.snapshot() == make_book(three_bus).snapshot()
+
+    # Bid checks each resting bid, as it checks a submitted one.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("quantity_kw", float("nan"), "quantity_kw must be a finite number > 0"),
+            ("quantity_kw", 0.0, "quantity_kw must be a finite number > 0"),
+            ("price_eur_per_kw", float("nan"), "price_eur_per_kw must be a finite number >= 0"),
+            ("side", "bogus", "unknown side 'bogus'"),
+            ("direction", "sideways", "unknown direction 'sideways'"),
+            ("conditionality", "maybe", "must be 'conditional' or 'unconditional'"),
+            ("conditionality", None, "must be 'conditional' or 'unconditional'"),
+        ],
+    )
+    def test_restore_refuses_what_bid_refuses(self, three_bus, field, value, message):
+        book = make_book(three_bus)
+        odd = request("r2", "up", "2", 5, 0.05)
+        odd.sequence = 2
+        setattr(odd, field, value)
+        with pytest.raises(MarketError, match=re.escape(message)):
+            book.restore(round=2, sequence=2, match_counter=0, seen_ids=[],
+                         resting=[odd], accepted=[])
         assert book.snapshot() == make_book(three_bus).snapshot()
 
     def test_a_failed_restore_leaves_the_book_fresh(self, three_bus):

@@ -579,17 +579,17 @@ def dumped_books(draw):
     """A book resumed through ``OrderBook.restore`` from drawn state, odd ids included.
 
     Pools, accepted matches, ``seen_ids`` and the baseline may each be
-    empty, and a bid may hold ``None`` where a dump leaves a field out.
-    ``restore`` refuses a ``None`` original quantity, so it is set on the
-    book's own bid once the book is resumed.
+    empty. An offer holds ``None`` for the conditionality a dump leaves
+    out, and a bid given no original quantity takes its quantity, as
+    ``Bid`` admits it.
     """
     network, baseline = load_network(DATA / "three_bus.yaml")
     book = OrderBook(network, baseline, ALL_COMBINATIONS)
     buses = st.sampled_from(network.buses)
-    resting, originals = [], {}
+    resting = []
     for sequence, bid_id in enumerate(draw(st.lists(log_ids, unique=True, max_size=6)), 1):
         side = draw(st.sampled_from(SIDES))
-        bid = Bid(
+        resting.append(Bid(
             bid_id,
             side,
             draw(st.sampled_from((UP, DOWN))),
@@ -598,9 +598,8 @@ def dumped_books(draw):
             draw(book_numbers),
             draw(st.sampled_from((CONDITIONAL, UNCONDITIONAL))) if side == REQUEST else None,
             sequence,
-        )
-        originals[bid_id] = draw(st.one_of(st.none(), book_numbers))
-        resting.append(bid)
+            draw(st.one_of(st.none(), book_numbers)),
+        ))
     accepted = [
         MatchRecord(
             f"x{match_id}",
@@ -624,8 +623,6 @@ def dumped_books(draw):
         resting=resting,
         accepted=accepted,
     )
-    for bid in book.requests + book.offers:
-        bid.original_quantity_kw = originals[bid.id]
     if draw(st.booleans()):  # a baseline holding every kind of number the writer may meet
         book.baseline.injection_kw = draw(
             st.dictionaries(log_ids, st.one_of(log_numbers, st.floats()), max_size=4)
