@@ -18,7 +18,6 @@ from .fileio import (
     MarketConfig,
     audit_trade_log,
     book_json,
-    dump_book,
     load_bids,
     load_book,
     load_network,
@@ -91,7 +90,6 @@ __all__ = [
     "book_json",
     "build_ptdf",
     "dc_solve",
-    "dump_book",
     "exchange_buses",
     "exchange_sensitivity",
     "exhaustive_subset_check",

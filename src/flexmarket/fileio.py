@@ -211,9 +211,10 @@ def _checked(record, fields: _Fields, where: str) -> dict:
     return record
 
 
-# The fields of each record kind, with their rules. A bid's side, direction and
-# conditionality are checked by Bid itself.
-_LINE_FIELDS = _Fields(from_bus=_bus, to_bus=_bus, reactance=_number, limit_kw=_number)
+# The fields of each record kind, with their rules. A field without one is
+# checked by the record's class alone: Line checks a line's numbers, and Bid
+# checks a bid's side, direction and conditionality.
+_LINE_FIELDS = _Fields(from_bus=_bus, to_bus=_bus, reactance=None, limit_kw=None)
 _NETWORK_FIELDS = _Fields(
     buses=_list_of(_bus), slack_bus=_bus, lines=_records(_LINE_FIELDS),
     injection_kw=_per_bus(_number), optional=("injection_kw",),
@@ -225,11 +226,13 @@ _BID_FIELDS = _Fields(
 
 # The fields of a book dump and of its records. The counters carry the names
 # that OrderBook.snapshot and OrderBook.restore use, and a record's fields are
-# the names of its class's fields.
+# the names of its class's fields. Bid is the gate of every dumped bid field but
+# two: it does not check the bus, and it reads a null original quantity as the
+# quantity.
 _DUMP_COUNTERS = ("round", "sequence", "match_counter")
 _DUMP_BID_FIELDS = _Fields(
-    id=_string, side=_string, direction=_string, bus=_string, quantity_kw=_dumped_number,
-    original_quantity_kw=_dumped_number, price_eur_per_kw=_dumped_number, sequence=_whole,
+    id=None, side=None, direction=None, bus=_string, quantity_kw=None,
+    original_quantity_kw=_dumped_number, price_eur_per_kw=None, sequence=None,
     conditionality=None, optional=("conditionality",),
 )
 _DUMP_MATCH_FIELDS = _Fields(
@@ -426,26 +429,6 @@ def read_trade_log(path) -> list:
 # order book dumps
 
 
-def _bid_dict(bid: Bid) -> dict:
-    return {key: value for key in _DUMP_BID_FIELDS if (value := getattr(bid, key)) is not None}
-
-
-def _match_dict(record: MatchRecord) -> dict:
-    return {key: getattr(record, key) for key in _DUMP_MATCH_FIELDS}
-
-
-def dump_book(book: OrderBook) -> dict:
-    state = book.snapshot()
-    return {
-        **{key: state[key] for key in _DUMP_COUNTERS},
-        "injection_kw": {str(b): v for b, v in sorted(book.baseline.injection_kw.items())},
-        "requests": [_bid_dict(b) for b in state["resting"] if b.side == REQUEST],
-        "offers": [_bid_dict(b) for b in state["resting"] if b.side == OFFER],
-        "accepted_matches": [_match_dict(r) for r in state["accepted"]],
-        "seen_ids": sorted(state["seen_ids"]),
-    }
-
-
 def _object_template(keys, indent: int) -> str:
     """A ``%`` template of one JSON object with ``keys``, as ``json.dumps(indent=2)`` nests it.
 
@@ -488,12 +471,17 @@ def _bid_record(bid: Bid) -> str:
 
 
 def book_json(book: OrderBook) -> str:
-    """``json.dumps(dump_book(book), sort_keys=True, indent=2)`` and a newline, byte for byte.
+    """The book's dump, the only writer of one: the text of its state and a newline.
 
-    That is ASCII only, keys sorted, a two-space indent and one trailing
-    newline. The text is written from a ``%`` template per record shape,
-    each value formatted by :func:`_json_value`, so no dump dict is built
-    and the pure-Python encoder that ``indent`` selects never runs.
+    The dump holds the counters of :meth:`OrderBook.snapshot`, the baseline
+    injections by bus label, the resting requests and offers, each a record
+    of its bid's fields without a null conditionality, the accepted matches
+    and the sorted ``seen_ids``. The text is byte for byte what
+    ``json.dumps(dump, sort_keys=True, indent=2)`` writes for that dict:
+    ASCII only, keys sorted and a two-space indent. It is written from a
+    ``%`` template per record shape, each value formatted by
+    :func:`_json_value`, so no dump dict is built and the pure-Python
+    encoder that ``indent`` selects never runs.
     """
     state = book.snapshot()
     value = _json_value
@@ -537,7 +525,7 @@ def read_book_dump(path) -> dict:
 
 
 def load_book(path, network, config: MarketConfig) -> OrderBook:
-    """Rebuild an order book from a dump; inverse of :func:`dump_book`.
+    """Rebuild an order book from a dump; inverse of :func:`book_json`.
 
     The resting bids may be listed in any order. A dump the book could
     not have written, such as one with duplicate bid ids or sequence

@@ -69,7 +69,9 @@ class Line:
             raise NetworkError(f"line {self.label} is a self-loop")
         for name in ("reactance", "limit_kw"):
             if not (finite_number(value := getattr(self, name)) and value > 0):
-                raise NetworkError(f"line {self.label}: {name} must be a finite number > 0")
+                raise NetworkError(
+                    f"line {self.label}: {name} must be a finite number > 0, got {shown(value)}"
+                )
 
     @property
     def label(self) -> str:
@@ -169,16 +171,15 @@ class DispatchState:
 class PtdfMatrix:
     """Line-by-bus sensitivity matrix for a fixed slack bus.
 
-    ``entry(line, bus)`` is the flow change on the line, in kW per kW
-    injected at the bus and withdrawn at the slack. The slack column is
-    identically zero. For a purely radial network every entry is in
-    {-1, 0, +1}.
+    Each entry of ``matrix``, in rows of ``line_labels`` and columns of
+    ``buses``, is the flow change on the line, in kW per kW injected at
+    the bus and withdrawn at the slack. The slack column is identically
+    zero. For a purely radial network every entry is in {-1, 0, +1}.
     """
 
     matrix: np.ndarray
     buses: tuple
     line_labels: tuple
-    slack_bus: Hashable
     _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -198,14 +199,6 @@ class PtdfMatrix:
 
     def column(self, bus) -> np.ndarray:
         return self.matrix[:, self.bus_position(bus)]
-
-    def entry(self, line, bus) -> float:
-        if not isinstance(line, (int, np.integer)):
-            try:
-                line = self.line_labels.index(line)
-            except ValueError:
-                raise NetworkError(f"unknown line {shown(line)}") from None
-        return float(self.matrix[line, self.bus_position(bus)])
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
@@ -257,12 +250,7 @@ def _solve_ptdf(network: Network) -> PtdfMatrix:
     matrix = np.zeros((n_lines, n))
     matrix[:, keep] = ptdf_reduced
     matrix.setflags(write=False)
-    return PtdfMatrix(
-        matrix=matrix,
-        buses=buses,
-        line_labels=network.line_labels,
-        slack_bus=network.slack_bus,
-    )
+    return PtdfMatrix(matrix=matrix, buses=buses, line_labels=network.line_labels)
 
 
 def line_flows(ptdf: PtdfMatrix, dispatch: DispatchState) -> np.ndarray:

@@ -98,6 +98,7 @@ OUTCOME_PARTIAL = "partial(congestion)"
 OUTCOME_REJECTED_CONGESTION = "rejected(congestion)"
 
 _SEQUENCE = attrgetter("sequence")
+_PRICE = attrgetter("price_eur_per_kw")
 
 
 def _scenario(scenario) -> frozenset:
@@ -147,9 +148,15 @@ class Bid:
         if self.direction not in (UP, DOWN):
             raise MarketError(f"bid {self.id}: unknown direction {shown(self.direction)}")
         if not (finite_number(self.quantity_kw) and self.quantity_kw > 0):
-            raise MarketError(f"bid {self.id}: quantity_kw must be a finite number > 0")
+            raise MarketError(
+                f"bid {self.id}: quantity_kw must be a finite number > 0,"
+                f" got {shown(self.quantity_kw)}"
+            )
         if not (finite_number(self.price_eur_per_kw) and self.price_eur_per_kw >= 0):
-            raise MarketError(f"bid {self.id}: price_eur_per_kw must be a finite number >= 0")
+            raise MarketError(
+                f"bid {self.id}: price_eur_per_kw must be a finite number >= 0,"
+                f" got {shown(self.price_eur_per_kw)}"
+            )
         if self.side == REQUEST:
             if self.conditionality not in (CONDITIONAL, UNCONDITIONAL):
                 raise MarketError(f"request {self.id} must be 'conditional' or 'unconditional'")
@@ -404,9 +411,12 @@ class OrderBook:
 
         ``resting`` are the bids still in the book, in any order; the book keeps
         copies that :class:`Bid` checks, each pool in sequence order. ``accepted``
-        are the conditional matches in acceptance order. Raises :class:`MarketError`
+        are the conditional matches in acceptance order, and ``seen_ids`` a
+        collection of the ids of every bid submitted so far, each a non-empty
+        ``str`` as :class:`Bid` requires. Raises :class:`MarketError`
         for a state the book could not have reached: a counter that is not an
-        ``int`` >= 0 that can be written, duplicate bid ids, sequence numbers or
+        ``int`` >= 0 that can be written, a ``seen_ids`` that is not such a
+        collection, duplicate bid ids, sequence numbers or
         match ids, a sequence number after ``sequence``, a ``round`` other than
         ``sequence`` (each submission counts both), an accepted match whose id is
         not a ``str``, that is not conditional, whose quantity is not a finite
@@ -462,7 +472,18 @@ class OrderBook:
             )
         if round != sequence:
             raise MarketError(f"round {shown(round)} and sequence {shown(sequence)} differ")
-        seen_ids = set(seen_ids).union(bid.id for bid in resting)
+        try:
+            if isinstance(seen_ids, str):  # a bare string would read as a set of its characters
+                raise TypeError
+            seen_ids = set(seen_ids)
+        except TypeError:  # not a collection, or one holding an unhashable item
+            raise MarketError(
+                f"seen_ids must be a collection of bid ids, not {shown(seen_ids)}"
+            ) from None
+        for bid_id in seen_ids:
+            if not (isinstance(bid_id, str) and bid_id):
+                raise MarketError(f"a seen id must be a non-empty string, got {shown(bid_id)}")
+        seen_ids.update(bid.id for bid in resting)
 
         self.round = round
         self._match_counter = match_counter
@@ -493,16 +514,16 @@ class OrderBook:
                 b for b in self.requests
                 if b.direction == direction and b.price_eur_per_kw >= price
             ]
-            if self.order == ORDER_BEST_PRICE:
-                # Highest-paying request first for an incoming offer.
-                candidates.sort(key=lambda b: (-b.price_eur_per_kw, b.sequence))
         else:
             candidates = [
                 b for b in self.offers
                 if b.direction == direction and b.price_eur_per_kw <= price
             ]
-            if self.order == ORDER_BEST_PRICE:
-                candidates.sort(key=lambda b: (b.price_eur_per_kw, b.sequence))
+        if self.order == ORDER_BEST_PRICE:
+            # The best price first: the highest-paying request for an incoming offer, the
+            # cheapest offer for a request. The sort is stable, with reverse too, so equal
+            # prices keep arrival order.
+            candidates.sort(key=_PRICE, reverse=incoming.side == OFFER)
         return candidates
 
     def _try_match(self, incoming: Bid) -> list:

@@ -23,7 +23,6 @@ class OracleReport:
     """One activation subset whose flows violate at least one line limit."""
 
     subset: tuple
-    flows_kw: tuple
     violations: tuple  # (line label, overload in kW) pairs, overload > tolerance
 
     def __str__(self) -> str:
@@ -130,17 +129,10 @@ def worst_subset_check(network: Network, baseline: DispatchState, matches: Seque
 
 def _subset_reports(network: Network, baseline: DispatchState, subset: Sequence) -> list:
     """The report of the baseline with ``subset`` activated, in a list; empty if none overloads."""
-    flows = dc_solve(network, _activated(baseline, subset))
-    violations = flow_violations(network, flows)
+    violations = flow_violations(network, dc_solve(network, _activated(baseline, subset)))
     if not violations:
         return []
-    return [
-        OracleReport(
-            subset=tuple(record.match_id for record in subset),
-            flows_kw=tuple(float(f) for f in flows),
-            violations=tuple(violations),
-        )
-    ]
+    return [OracleReport(tuple(record.match_id for record in subset), tuple(violations))]
 
 
 def _activated(baseline: DispatchState, matches: Sequence) -> DispatchState:

@@ -68,7 +68,8 @@ def test_a1_individual_policy_admits_a_jointly_infeasible_pair():
     assert set(reports[0].subset) == {m.match_id for m in book.accepted}
     ((line, overload),) = reports[0].violations
     assert line == "1-2" and overload == pytest.approx(10.0, abs=1e-9)
-    flows = dict(zip(book.network.line_labels, reports[0].flows_kw))
+    activated = book.activation_snapshot(reports[0].subset)
+    flows = dict(zip(book.network.line_labels, dc_solve(book.network, activated)))
     assert flows["1-2"] == pytest.approx(70.0, abs=1e-9)
 
     assert elapsed < 1.0

@@ -432,7 +432,7 @@ def test_run_rejects_a_non_numeric_reactance(tmp_path, capsys):
     )
     code = main(["run", "--network", str(path), "--bids", str(DATA / "bids_reevaluation.jsonl")])
     assert code == 2
-    assert "reactance: expected a number" in capsys.readouterr().err
+    assert "line 1-2: reactance must be a finite number > 0, got 'low'" in capsys.readouterr().err
 
 
 # YAML reads a hexadecimal integer of any length; this one is too long to print in decimal.
@@ -479,7 +479,7 @@ LABEL_CASES = [
         (
             "lines",
             "lines:\n  - {from_bus: 1, to_bus: 2, reactance: true, limit_kw: 5}\n",
-            "lines[0]: reactance: expected a number, got True",
+            "line 1-2: reactance must be a finite number > 0, got True",
         ),
         *LABEL_CASES,
         ("injection_kw", 'injection_kw: {2: -5, "2": -5}\n', "injection_kw names a bus twice"),
@@ -506,7 +506,7 @@ LABEL_CASES = [
         pytest.param(
             "lines",
             f"lines:\n  - {{from_bus: 1, to_bus: 2, reactance: {HUGE}, limit_kw: 5}}\n",
-            "lines[0]: reactance: expected a finite number, got <int too long to show>",
+            "line 1-2: reactance must be a finite number > 0, got <int too long to show>",
             id="huge-reactance",
         ),
         pytest.param(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import warnings
 
 import pytest
@@ -13,7 +14,6 @@ from flexmarket import (
     NetworkError,
     audit_trade_log,
     book_json,
-    dump_book,
     line_flows,
     load_bids,
     load_book,
@@ -102,12 +102,14 @@ class TestLoadNetwork:
         with pytest.raises(InputError):
             load_network(tmp_path / "nope.yaml")
 
-    @pytest.mark.parametrize("bad", ["abc", "true"])
+    # Line is the one gate of a line's numbers.
+    @pytest.mark.parametrize("bad, shown", [("abc", "'abc'"), ("true", "True")])
     @pytest.mark.parametrize("field, value", [("reactance", "0.1"), ("limit_kw", "60")])
-    def test_non_numeric_line_field_is_an_input_error(self, tmp_path, field, value, bad):
+    def test_non_numeric_line_field_is_a_network_error(self, tmp_path, field, value, bad, shown):
         path = write_three_bus(tmp_path)
         path.write_text(path.read_text().replace(f"{field}: {value}", f"{field}: {bad}", 1))
-        with pytest.raises(InputError, match=rf"lines\[0\]: {field}: expected a number"):
+        message = f"net.yaml: line 1-2: {field} must be a finite number > 0, got {shown}"
+        with pytest.raises(NetworkError, match=re.escape(message)):
             load_network(path)
 
     # PyYAML reads 1.0e3 as a string: YAML 1.1 wants a signed exponent.
@@ -449,7 +451,6 @@ class TestBookRoundTrip:
 
         network, _ = load_network(DATA / "fifteen_bus.yaml")
         reloaded = load_book(path, network, config)
-        assert dump_book(reloaded) == dump_book(book)
         assert book_json(reloaded).encode() == path.read_bytes()
 
     def test_reloaded_book_keeps_clearing_consistently(self, tmp_path):
@@ -478,24 +479,25 @@ class TestBookRoundTrip:
             (lambda d: d.update(round="late"), "round: expected a number"),
             (lambda d: d.update(round=1.5), "round: expected an integer, got 1.5"),
             (lambda d: d.update(match_counter=True), "match_counter: expected a number, got True"),
+            # Bid is the one gate of a dumped bid's numbers, as of a submitted one's.
             (
                 lambda d: d["offers"][0].update(price_eur_per_kw=False),
-                r"offers\[0\]: price_eur_per_kw: expected a number, got False",
+                r"offers\[0\]: bid \w+: price_eur_per_kw must be a finite number >= 0, got False",
             ),
             (
                 lambda d: d["offers"][0].update(sequence=2.5),
-                r"offers\[0\]: sequence: expected an integer",
+                r"offers\[0\]: bid \w+: sequence 2\.5 is not an int",
             ),
             (lambda d: d.update(offers={}), "offers is not a list"),
             (
                 lambda d: d["offers"][0].update(quantity_kw="5"),
-                r"offers\[0\]: quantity_kw: expected a number",
+                r"offers\[0\]: bid \w+: quantity_kw must be a finite number > 0, got '5'",
             ),
         ],
     )
     def test_truncated_dump_is_an_input_error(self, tmp_path, damage, message):
         book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(book)
+        data = json.loads(book_json(book))
         damage(data)
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))
@@ -510,7 +512,7 @@ class TestBookRoundTrip:
         book = new_book(network, baseline, config)
         for bid in bids[:8]:
             book.submit_bid(bid)
-        data = dump_book(book)
+        data = json.loads(book_json(book))
         assert len(data["requests"]) + len(data["offers"]) >= 3
 
         logs = []
@@ -589,7 +591,7 @@ class TestBookRoundTrip:
     )
     def test_inconsistent_dump_is_an_input_error(self, tmp_path, damage, message):
         book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(book)
+        data = json.loads(book_json(book))
         damage(data)
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))
@@ -599,7 +601,7 @@ class TestBookRoundTrip:
 
     def test_infeasible_dumped_baseline_is_not_an_input_error(self, tmp_path):
         book = run_replay(DATA / "fifteen_bus.yaml", DATA / "bids_fifteen_bus.jsonl", MarketConfig())
-        data = dump_book(book)
+        data = json.loads(book_json(book))
         data["injection_kw"]["5"] += 1e6
         path = tmp_path / "book.json"
         path.write_text(json.dumps(data))

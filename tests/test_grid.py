@@ -36,8 +36,8 @@ class TestPtdf:
         network, _ = three_bus
         ptdf = build_ptdf(network)
         assert ptdf.matrix == pytest.approx(np.array([[0, -1, -1], [0, 0, -1]]), abs=1e-9)
-        assert ptdf.entry("1-2", "2") == pytest.approx(-1.0)
-        assert ptdf.entry(1, "3") == pytest.approx(-1.0)
+        assert ptdf.matrix[ptdf.line_labels.index("1-2"), ptdf.bus_position("2")] == pytest.approx(-1.0)
+        assert ptdf.matrix[1, ptdf.bus_position("3")] == pytest.approx(-1.0)
 
     def test_slack_column_zero(self):
         rng = np.random.default_rng(1)

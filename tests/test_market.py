@@ -137,7 +137,8 @@ class TestBidValidation:
         ],
     )
     def test_a_non_number_is_a_market_error(self, quantity, price, message):
-        with pytest.raises(MarketError, match=f"^{message}$"):
+        refused = quantity if message == self.QUANTITY else price
+        with pytest.raises(MarketError, match=f"^{message}, got {re.escape(shown(refused))}$"):
             offer("o", "up", "1", quantity, price)
 
     # No writer can write these back, and the book numbers and fills by them.
@@ -623,6 +624,29 @@ class TestRestore:
         with pytest.raises(MarketError, match=f"bid r2: {field} .* is not"):
             book.restore(round=2, sequence=2, match_counter=0, seen_ids=[],
                          resting=[first, odd], accepted=[])
+        assert book.snapshot() == make_book(three_bus).snapshot()
+
+    # Each of these used to fail with a bare TypeError, or restore a book
+    # whose dump book_json could not write or load_book refused.
+    @pytest.mark.parametrize(
+        "seen_ids, message",
+        [
+            ([["a"]], r"seen_ids must be a collection of bid ids, not \[\['a'\]\]"),
+            (5, "seen_ids must be a collection of bid ids, not 5"),
+            ("ab", "seen_ids must be a collection of bid ids, not 'ab'"),
+            ([1, "a"], "a seen id must be a non-empty string, got 1"),
+            ([7], "a seen id must be a non-empty string, got 7"),
+            ([""], "a seen id must be a non-empty string, got ''"),
+        ],
+        ids=["nested-list", "int", "bare-str", "int-and-str", "int-id", "empty-id"],
+    )
+    def test_restore_refuses_seen_ids_that_are_not_bid_ids(self, three_bus, seen_ids, message):
+        book = make_book(three_bus)
+        resting = request("r1", "up", "2", 5, 0.05)
+        resting.sequence = 1
+        with pytest.raises(MarketError, match=f"^{message}$"):
+            book.restore(round=1, sequence=1, match_counter=0, seen_ids=seen_ids,
+                         resting=[resting], accepted=[])
         assert book.snapshot() == make_book(three_bus).snapshot()
 
     def test_a_long_match_id_of_a_small_number_restores(self, three_bus):

@@ -1,6 +1,7 @@
 """Property-based checks of the grid math, the clearing invariants and the input paths."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -30,7 +31,6 @@ from flexmarket import (
     TradeLogEntry,
     book_json,
     build_ptdf,
-    dump_book,
     flow_rooms,
     line_flows,
     load_bids,
@@ -628,6 +628,31 @@ def dumped_books(draw):
             st.dictionaries(log_ids, st.one_of(log_numbers, st.floats()), max_size=4)
         )
     return book
+
+
+def dump_book(book):
+    """The reference dump of ``book`` as a dict, which ``book_json`` must write byte for byte.
+
+    Each bid is a record of every field of ``Bid`` that is not ``None``, and
+    each accepted match one of every field of ``MatchRecord``.
+    """
+    state = book.snapshot()
+    bid_keys = [field.name for field in dataclasses.fields(Bid)]
+    match_keys = [field.name for field in dataclasses.fields(MatchRecord)]
+
+    def bid_dict(bid):
+        return {key: value for key in bid_keys if (value := getattr(bid, key)) is not None}
+
+    return {
+        **{key: state[key] for key in ("round", "sequence", "match_counter")},
+        "injection_kw": {str(b): v for b, v in sorted(book.baseline.injection_kw.items())},
+        "requests": [bid_dict(b) for b in state["resting"] if b.side == REQUEST],
+        "offers": [bid_dict(b) for b in state["resting"] if b.side != REQUEST],
+        "accepted_matches": [
+            {key: getattr(r, key) for key in match_keys} for r in state["accepted"]
+        ],
+        "seen_ids": sorted(state["seen_ids"]),
+    }
 
 
 @settings(max_examples=300, deadline=None)
