@@ -31,6 +31,8 @@ from flexmarket import (
 )
 from flexmarket.market import (
     ALL_COMBINATIONS,
+    CUMULATIVE,
+    INDIVIDUAL,
     INDIVIDUAL_AND_CUMULATIVE,
     ORDER_BEST_PRICE,
     ORDER_FIFO,
@@ -46,6 +48,13 @@ SEED = 20201201
 OLD_PRICE_OUTCOME = "rejected(price)"
 
 DIGESTS = {
+    (INDIVIDUAL, ORDER_FIFO): (
+        "2574a7ed4eac2775e2369f0f248868c73d342c3c35e42c82e4895fcb4189a368"
+    ),
+    # Checks a conditional candidate against S alone and an unconditional one against 0 and S.
+    (CUMULATIVE, ORDER_FIFO): (
+        "b006b56707cf8962f4097b14fc454372922f6bd29bff8c712535ec38867ee16e"
+    ),
     (INDIVIDUAL_AND_CUMULATIVE, ORDER_FIFO): (
         "a7b6481f714562396d5c6e688baaf3a890eba8d3bc870342b93e4176956aeb58"
     ),
