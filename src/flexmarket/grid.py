@@ -349,7 +349,11 @@ def max_tradable_quantity(
 
 def check_baseline(network: Network, dispatch: DispatchState) -> np.ndarray:
     """Validate that a dispatch violates no line limit; return its flows."""
-    flows = line_flows(build_ptdf(network), dispatch)
+    return check_flows(network, line_flows(build_ptdf(network), dispatch))
+
+
+def check_flows(network: Network, flows: np.ndarray) -> np.ndarray:
+    """Validate that baseline line flows, in line order, exceed no limit; return them."""
     overload = np.abs(flows) - network.limits
     worst = int(np.argmax(overload))
     if overload[worst] > QUANTITY_TOL:

@@ -9,8 +9,9 @@ them. Each examined pair trades at the earlier bid's price (pay as
 bid), for the largest quantity that keeps every line within its limit
 under the configured combination policy. A match with an unconditional
 request shifts the baseline dispatch immediately and triggers a
-re-evaluation of the resting offers, which may unlock bids that were
-previously blocked by congestion.
+re-evaluation of the resting offers that some resting request of their
+direction still crosses, which may unlock bids that were previously
+blocked by congestion.
 
 The book is a single-writer state machine: submissions, matching and
 baseline updates are strictly serialized. Line flows are linear in each
@@ -34,7 +35,9 @@ each a set of match ids:
 The book reduces a policy's rows to two per-line rooms, for a flow rise
 and a flow fall, once per state change (an accepted conditional match or
 a baseline move), so each network check is one sensitivity column
-difference capped against cached rooms.
+difference capped against cached rooms. An accepted match reuses its
+check's sensitivity, and the baseline flows follow an injection vector
+that moves with the baseline dispatch.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .grid import (
     admissible_quantity,
     build_ptdf,
     check_baseline,
+    check_flows,
     exchange_buses,
     exchange_sensitivity,
     finite_number,
@@ -121,7 +125,8 @@ class Bid:
     it raises :class:`MarketError` unless ``id`` is a non-empty string,
     the quantity a :func:`~flexmarket.grid.finite_number` (a ``float`` or
     an ``int``) above zero, the price one not below zero, any given
-    original quantity a finite number and the sequence an ``int``.
+    original quantity a finite number not below the quantity and the
+    sequence an ``int``.
     ``quantity_kw`` is the remaining unmatched quantity and shrinks with
     partial fills; a bid with nothing left leaves the book. Only
     requests carry a conditionality. The sequence number is the arrival
@@ -172,6 +177,11 @@ class Bid:
             raise MarketError(
                 f"bid {self.id}: original_quantity_kw {shown(self.original_quantity_kw)}"
                 " is not a finite number"
+            )
+        elif self.original_quantity_kw < self.quantity_kw:  # fills only shrink the quantity
+            raise MarketError(
+                f"bid {self.id}: original_quantity_kw {shown(self.original_quantity_kw)}"
+                f" is below quantity_kw {shown(self.quantity_kw)}"
             )
         self.side = OFFER if self.side == OFFER else REQUEST
         self.direction = UP if self.direction == UP else DOWN
@@ -267,6 +277,8 @@ class OrderBook:
         self.ptdf = build_ptdf(network)
         self.baseline = baseline.copy()
         self._flows = check_baseline(network, self.baseline)
+        # The baseline injections in PTDF column order, moved with every baseline change.
+        self._injections = self.baseline.vector(self.ptdf.buses)
 
         self.requests: list = []
         self.offers: list = []
@@ -274,6 +286,9 @@ class OrderBook:
         # Running sums of the accepted matches' line-flow changes at full
         # activation, one row each as the module docstring lists them.
         self._sums = np.zeros((_SCENARIO + len(self.scenarios), len(network.lines)))
+        # Row views bound once, so _accept adds into each row without indexing the array.
+        self._all, self._rise, self._fall = self._sums[_ALL], self._sums[_RISE], self._sums[_FALL]
+        self._scenario_sums = self._sums[_SCENARIO:]
         # The rows of each conditionality, _SCENARIO spelt out as one row per scenario.
         scenario_rows = tuple(range(_SCENARIO, len(self._sums)))
         self._rows = {
@@ -322,15 +337,23 @@ class OrderBook:
         return matches
 
     def reevaluate_book(self) -> list:
-        """Re-try every resting offer until a pass finds no new unconditional match.
+        """Re-try resting offers until a pass finds no new unconditional match.
 
-        Conditional matches found along the way are committed too, but do
-        not trigger further passes by themselves.
+        Each pass re-tries, in book order, the offers priced at or below the
+        highest resting request price of their direction when the pass
+        starts. Requests only leave during a pass and no price changes, so
+        any other offer has no counterparty and nothing to log. Conditional
+        matches found along the way are committed too, but do not trigger
+        further passes by themselves.
         """
         new_matches: list = []
         while True:
+            top = {UP: -1.0, DOWN: -1.0}  # below every price, which is >= 0
+            for request in self.requests:
+                if request.price_eur_per_kw > top[request.direction]:
+                    top[request.direction] = request.price_eur_per_kw
             pass_matches: list = []
-            for offer in list(self.offers):
+            for offer in [o for o in self.offers if o.price_eur_per_kw <= top[o.direction]]:
                 pass_matches += self._try_match(offer)
             new_matches += pass_matches
             if not any(rec.conditionality == UNCONDITIONAL for rec in pass_matches):
@@ -491,7 +514,8 @@ class OrderBook:
         for bid in resting:
             (self.offers if bid.side == OFFER else self.requests).append(bid)
         for record in accepted:
-            self._accept(record)
+            alpha = exchange_sensitivity(self.ptdf, record.inject_bus, record.withdraw_bus)
+            self._accept(record, alpha)
 
     # ------------------------------------------------------------------
     # matching internals
@@ -536,7 +560,7 @@ class OrderBook:
             price = (offer if offer.sequence < request.sequence else request).price_eur_per_kw
             quantity = min(offer.quantity_kw, request.quantity_kw)
             inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
-            admissible, binding = self._evaluate_candidate(
+            admissible, binding, alpha = self._evaluate_candidate(
                 inject_bus, withdraw_bus, quantity, request.conditionality
             )
             if admissible <= 0:
@@ -563,21 +587,19 @@ class OrderBook:
             if record.conditionality == UNCONDITIONAL:
                 self._apply_to_baseline(record)
             else:
-                self._accept(record)
+                self._accept(record, alpha)
             matches.append(record)
         return matches
 
-    def _accept(self, record: MatchRecord) -> None:
-        """Add a conditional match to the combination set and its running sums."""
-        alpha = exchange_sensitivity(self.ptdf, record.inject_bus, record.withdraw_bus)
+    def _accept(self, record: MatchRecord, alpha: np.ndarray) -> None:
+        """Add a conditional match, whose exchange sensitivity is ``alpha``, to the running sums."""
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
         self._rooms.clear()
-        sums = self._sums
-        sums[_ALL] += delta
-        sums[_RISE] += np.maximum(delta, 0.0)
-        sums[_FALL] += np.minimum(delta, 0.0)
-        for total, scenario in zip(sums[_SCENARIO:], self.scenarios):
+        self._all += delta
+        self._rise += np.maximum(delta, 0.0)
+        self._fall += np.minimum(delta, 0.0)
+        for total, scenario in zip(self._scenario_sums, self.scenarios):
             if record.match_id in scenario:
                 total += delta
 
@@ -591,8 +613,12 @@ class OrderBook:
 
     def _apply_to_baseline(self, record: MatchRecord) -> None:
         self.baseline.apply_exchange(record.inject_bus, record.withdraw_bus, record.quantity_kw)
+        # The same two float steps as the dict's, so the product is bit for bit line_flows'.
+        injections, position = self._injections, self.ptdf.bus_position
+        injections[position(record.inject_bus)] += record.quantity_kw
+        injections[position(record.withdraw_bus)] -= record.quantity_kw
         # The match was capped to fit, so this must hold; a failure here is a bug.
-        self._flows = check_baseline(self.network, self.baseline)
+        self._flows = check_flows(self.network, self.ptdf.matrix @ injections)
         self._rooms.clear()
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
@@ -616,8 +642,9 @@ class OrderBook:
         """Cap a candidate exchange against every mandated combination.
 
         Returns the admissible quantity, as :func:`admissible_quantity`
-        decides it, and the labels of the lines whose cap bound it (empty
-        when the full quantity goes through). Callers have checked ``quantity_kw``.
+        decides it, the labels of the lines whose cap bound it (empty when
+        the full quantity goes through) and the exchange sensitivity, which
+        an accepted match reuses. Callers have checked ``quantity_kw``.
         """
         alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
         line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
@@ -626,4 +653,4 @@ class OrderBook:
         if quantity < quantity_kw - QUANTITY_TOL:
             bound = (line_caps <= quantity + QUANTITY_TOL).nonzero()[0]
             binding = tuple(self.network.line_labels[i] for i in bound.tolist())
-        return quantity, binding
+        return quantity, binding, alpha

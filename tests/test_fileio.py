@@ -571,6 +571,11 @@ class TestBookRoundTrip:
             ),
             (lambda d: d["offers"][0].update(bus="99"), "unknown bus '99'"),
             (
+                lambda d: d["offers"][0].update(original_quantity_kw=-3.0),
+                r"book\.json: offers\[0\]: bid offer2: original_quantity_kw -3\.0"
+                r" is below quantity_kw 20\.0$",
+            ),
+            (
                 lambda d: d["injection_kw"].update({"99": 0.0}),
                 r"book\.json: baseline names unknown buses: \['99'\]",
             ),

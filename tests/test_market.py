@@ -152,8 +152,13 @@ class TestBidValidation:
             (2, "5", "original_quantity_kw '5' is not a finite number"),
             (2, np.int64(5), f"original_quantity_kw {repr(np.int64(5))} is not a finite number"),
             (2, HUGE, f"original_quantity_kw {TOO_LONG} is not a finite number"),
+            (2, 9.5, "original_quantity_kw 9.5 is below quantity_kw 10"),
+            (2, -3.0, "original_quantity_kw -3.0 is below quantity_kw 10"),
         ],
-        ids=["str", "bool", "float", "nan", "str-original", "np-int64", "huge-int"],
+        ids=[
+            "str", "bool", "float", "nan", "str-original", "np-int64", "huge-int", "below",
+            "negative",
+        ],
     )
     def test_sequence_and_original_quantity_are_checked(self, sequence, original, message):
         with pytest.raises(MarketError, match=f"^bid r: {re.escape(message)}$"):
@@ -344,6 +349,22 @@ class TestReevaluation:
         assert outcomes == [OUTCOME_REJECTED_CONGESTION, OUTCOME_MATCHED, OUTCOME_MATCHED]
         # both re-evaluation entries carry the triggering round
         assert [e.round for e in book.trade_log[1:]] == [4, 4]
+
+    # A pass re-tries only offers priced at or below the best resting request
+    # price of their direction; an offer above it has no counterparty to log.
+    @pytest.mark.parametrize("price, retried", [(0.05, True), (0.051, False)])
+    def test_a_pass_skips_offers_priced_above_every_request(self, three_bus, price, retried):
+        book = make_book(three_bus)
+        book.submit_bid(request("r_down", "down", "2", 20, 0.05))
+        book.submit_bid(offer("o_down", "down", "3", 20, price))
+        book.submit_bid(offer("o_dear", "up", "2", 20, 0.06))
+        book.submit_bid(request("r_up", "up", "1", 30, 0.05, "unconditional"))
+        before = list(book.trade_log)
+        matches = book.submit_bid(offer("o_up", "up", "3", 30, 0.04))
+        assert book.trade_log[:len(before)] == before
+        assert [m.offer_id for m in matches] == ["o_up", "o_down"][:1 + retried]
+        assert [e.offer_id for e in book.trade_log[len(before):]] == ["o_up", "o_down"][:1 + retried]
+        assert book.offers[-1].id == "o_dear" and book.offers[-1].quantity_kw == 20
 
     def test_pass_with_only_conditional_matches_ends_the_loop(self):
         # Chain of four buses; line 3-4 starts at its limit, and only the

@@ -581,7 +581,8 @@ def dumped_books(draw):
     Pools, accepted matches, ``seen_ids`` and the baseline may each be
     empty. An offer holds ``None`` for the conditionality a dump leaves
     out, and a bid given no original quantity takes its quantity, as
-    ``Bid`` admits it.
+    ``Bid`` admits it; a given one is never below the quantity, as fills
+    only shrink a bid.
     """
     network, baseline = load_network(DATA / "three_bus.yaml")
     book = OrderBook(network, baseline, ALL_COMBINATIONS)
@@ -589,16 +590,17 @@ def dumped_books(draw):
     resting = []
     for sequence, bid_id in enumerate(draw(st.lists(log_ids, unique=True, max_size=6)), 1):
         side = draw(st.sampled_from(SIDES))
+        quantity = draw(book_numbers)
         resting.append(Bid(
             bid_id,
             side,
             draw(st.sampled_from((UP, DOWN))),
             draw(buses),
-            draw(book_numbers),
+            quantity,
             draw(book_numbers),
             draw(st.sampled_from((CONDITIONAL, UNCONDITIONAL))) if side == REQUEST else None,
             sequence,
-            draw(st.one_of(st.none(), book_numbers)),
+            draw(st.one_of(st.none(), book_numbers.map(lambda v: max(v, quantity)))),
         ))
     accepted = [
         MatchRecord(

@@ -3,7 +3,8 @@
 The same machine runs under every policy, on small random feeders, radial
 or meshed. After every step the book must have conserved every bid's
 quantity, traded every match at the earlier bid's price and kept its
-baseline within the line limits, and its conditional matches must be as
+baseline within the line limits, with flows bit for bit those of its
+baseline dispatch, and its conditional matches must be as
 safe to activate as its policy promises. The oracle's DC solves, which
 share no code with the engine's sensitivity matrix, judge the network.
 """
@@ -23,7 +24,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from flexmarket import Bid, MarketConfig, OrderBook, book_json, load_book, new_book
+from flexmarket import Bid, MarketConfig, OrderBook, book_json, line_flows, load_book, new_book
 from flexmarket.grid import QUANTITY_TOL
 from flexmarket.market import (
     ALL_COMBINATIONS,
@@ -160,6 +161,11 @@ class BookLife(RuleBasedStateMachine):
             # Each fill may snap a remainder of up to the tolerance to zero.
             error = filled[bid_id] + left.get(bid_id, 0.0) - bid.original_quantity_kw
             assert abs(error) <= QUANTITY_TOL * (1 + fills[bid_id])
+
+    @invariant()
+    def the_flows_are_the_baselines_to_the_bit(self):
+        # The book moves its injection vector with its baseline dict; the two must agree exactly.
+        assert np.array_equal(self.book.flows, line_flows(self.book.ptdf, self.book.baseline))
 
     @invariant()
     def the_lines_hold_as_the_policy_promises(self):
