@@ -1,4 +1,4 @@
-"""Byte-level regression check of a long synthetic replay.
+"""Byte-level regression checks of long synthetic replays.
 
 A seeded stream of a few hundred bids, drawn with the standard-library
 ``random`` module so the digest does not depend on numpy's generators,
@@ -11,6 +11,12 @@ any change to a logged byte, or to the order in which pairings are
 examined, changes it. The engine once logged every pairing whose prices
 do not cross as ``rejected(price)``; those lines are left out of the
 digest, so the pins hold for logs written before and after it stopped.
+
+A second stream runs on the same feeder with every limit a few kW above
+its baseline flow, under all five policies. There most pairings are
+refused for congestion, often many in a row within one scan, and
+re-evaluation passes re-try refused pairs, so its digests pin the
+network check where it refuses rather than where it clears.
 """
 
 import hashlib
@@ -22,9 +28,13 @@ import pytest
 from flexmarket import (
     Bid,
     MarketConfig,
+    Line,
     MarketError,
+    Network,
     OrderBook,
     book_json,
+    build_ptdf,
+    line_flows,
     load_network,
     new_book,
     trade_log_lines,
@@ -38,6 +48,7 @@ from flexmarket.market import (
     ORDER_FIFO,
     OUTCOME_PARTIAL,
     OUTCOME_REJECTED_CONGESTION,
+    SCENARIOS,
 )
 
 from conftest import DATA
@@ -148,3 +159,102 @@ def test_restore_from_snapshot_reproduces_the_dump():
         resumed.submit_bid(Bid("probe-" + bid.id, "request", bid.direction, bid.bus, 1e3, 1.0,
                                "conditional"))
     assert resumed.trade_log and book_json(book) == before
+
+
+CONGESTED_SEED = 1
+CONGESTED_BIDS = 200
+# Scenarios for the scenarios policy: the odd match ids, and every third one.
+CONGESTED_SCENARIOS = (
+    frozenset(f"m{i}" for i in range(1, 200, 2)),
+    frozenset(f"m{i}" for i in range(1, 200, 3)),
+)
+
+CONGESTED_DIGESTS = {
+    (INDIVIDUAL, ORDER_FIFO): (
+        "20f5dbae9b509bf875274fd24952f8672f0eeede566e60cefda366e2b6f33d53"
+    ),
+    (CUMULATIVE, ORDER_FIFO): (
+        "25a94ca08b67fcc63f04430c3967672a85f046c64e15d8a0dc888057d9366e80"
+    ),
+    (INDIVIDUAL_AND_CUMULATIVE, ORDER_FIFO): (
+        "aa676e0a41addb5466a61f7d6d338a7a6c9a5c100427bd8054c760f2c6d9eef1"
+    ),
+    (ALL_COMBINATIONS, ORDER_FIFO): (
+        "e6d887f575b0ed84e42b5f8de4e2d9335f78e67216446985ed4f3b4961a20d30"
+    ),
+    (SCENARIOS, ORDER_FIFO): (
+        "685554ad43b1b6e6ee1a3367c938bc35c73a722363042b4990f2aedfc3deb1d5"
+    ),
+    (SCENARIOS, ORDER_BEST_PRICE): (
+        "7155a1f09af2c5b826bb67231c353bb4b7154f7834a864794422f8470b012198"
+    ),
+}
+
+
+def congested_replay(policy, order, seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
+    """The 15-bus feeder with limits 5-15 kW above the baseline flows, and a bid stream on it.
+
+    Limits are whole kW, so they do not depend on the last bits of the PTDF solve.
+    """
+    rng = random.Random(seed)
+    network, baseline = load_network(DATA / "fifteen_bus.yaml")
+    flows = line_flows(build_ptdf(network), baseline)
+    limits = [float(round(abs(flow)) + rng.randint(5, 15)) for flow in flows]
+    lines = [
+        Line(line.from_bus, line.to_bus, line.reactance, limit)
+        for line, limit in zip(network.lines, limits)
+    ]
+    network = Network(network.buses, lines, network.slack_bus)
+    scenarios = CONGESTED_SCENARIOS if policy == SCENARIOS else ()
+    book = OrderBook(network, baseline, policy, scenarios=scenarios, order=order)
+    for i in range(n_bids):
+        side = "request" if rng.random() < 0.5 else "offer"
+        direction = "up" if rng.random() < 0.5 else "down"
+        bus = str(rng.randint(2, 15))
+        quantity = rng.choice([rng.randint(2, 30), round(rng.uniform(1.0, 30.0), 3)])
+        if side == "request":
+            price = round(rng.uniform(0.030, 0.060), 4)
+            conditionality = "conditional" if rng.random() < 0.7 else "unconditional"
+        else:
+            price = round(rng.uniform(0.020, 0.050), 4)
+            conditionality = None
+        book.submit_bid(Bid(f"b{i + 1}", side, direction, bus, quantity, price, conditionality))
+    payload = ("\n".join(trade_log_lines(book.trade_log)) + "\n" + book_json(book)).encode()
+    return hashlib.sha256(payload).hexdigest(), book
+
+
+def longest_refused_run(log):
+    """The most consecutive ``rejected(congestion)`` entries of one scan.
+
+    Entries of one scan share the round and the incoming bid, so either the offer or the request.
+    """
+    longest = run = 0
+    previous = None
+    for entry in log:
+        if entry.outcome != OUTCOME_REJECTED_CONGESTION:
+            run = 0
+        elif previous is not None and run and previous.round == entry.round and (
+            previous.offer_id == entry.offer_id or previous.request_id == entry.request_id
+        ):
+            run += 1
+        else:
+            run = 1
+        longest = max(longest, run)
+        previous = entry
+    return longest
+
+
+@pytest.mark.parametrize("policy, order", sorted(CONGESTED_DIGESTS))
+def test_congested_replay_digest_is_unchanged(policy, order):
+    digest, book = congested_replay(policy, order)
+    log = book.trade_log
+    outcomes = Counter(entry.outcome for entry in log)
+    # Most pairings are refused, and some scans refuse three or more counterparties in a row.
+    assert outcomes[OUTCOME_REJECTED_CONGESTION] > len(log) / 2
+    assert longest_refused_run(log) >= 3
+    # A pair is examined again only when a re-evaluation pass re-tries a refused offer.
+    refused = {(e.offer_id, e.request_id) for e in log if e.outcome == OUTCOME_REJECTED_CONGESTION}
+    pairings = Counter((e.offer_id, e.request_id) for e in log)
+    assert any(pairings[pair] > 1 for pair in refused)
+    assert len(book.accepted) > 0 and outcomes[OUTCOME_PARTIAL] > 0
+    assert digest == CONGESTED_DIGESTS[policy, order]
