@@ -175,15 +175,22 @@ class PtdfMatrix:
     ``buses``, is the flow change on the line, in kW per kW injected at
     the bus and withdrawn at the slack. The slack column is identically
     zero. For a purely radial network every entry is in {-1, 0, +1}.
+    A write-locked, C-contiguous copy of the columns, one row per bus,
+    serves :meth:`column` and :func:`exchange_sensitivities`, so the
+    sensitivities a network check forms are read from contiguous memory.
     """
 
     matrix: np.ndarray
     buses: tuple
     line_labels: tuple
     _positions: dict = field(init=False, repr=False, compare=False)
+    _by_bus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_positions", {b: i for i, b in enumerate(self.buses)})
+        by_bus = np.ascontiguousarray(self.matrix.T)
+        by_bus.setflags(write=False)
+        object.__setattr__(self, "_by_bus", by_bus)
 
     def __contains__(self, bus) -> bool:
         try:
@@ -198,7 +205,8 @@ class PtdfMatrix:
             raise UnknownBusError(f"unknown bus {shown(bus)}") from None
 
     def column(self, bus) -> np.ndarray:
-        return self.matrix[:, self.bus_position(bus)]
+        """The bus's column of ``matrix``, one entry per line, as a read-only contiguous row."""
+        return self._by_bus[self.bus_position(bus)]
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
@@ -281,6 +289,17 @@ def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> np.ndarr
     return ptdf.column(inject_bus) - ptdf.column(withdraw_bus)
 
 
+def exchange_sensitivities(ptdf: PtdfMatrix, inject_buses, withdraw_buses) -> np.ndarray:
+    """One :func:`exchange_sensitivity` row per (injection, withdrawal) bus pair, in one gather.
+
+    Row ``i`` is bit for bit ``exchange_sensitivity(ptdf, inject_buses[i],
+    withdraw_buses[i])``: the same two columns, subtracted once.
+    """
+    position, by_bus = ptdf.bus_position, ptdf._by_bus
+    injections = by_bus[[position(b) for b in inject_buses]]
+    return injections - by_bus[[position(b) for b in withdraw_buses]]
+
+
 def flow_rooms(flows: np.ndarray, limits: np.ndarray):
     """Per-line room for a flow rise and for a flow fall, over every flow row.
 
@@ -304,20 +323,24 @@ def quantity_caps(alpha: np.ndarray, up_room: np.ndarray, down_room: np.ndarray)
     caps it at its up room over ``alpha``; a line whose flow falls
     (``alpha < -ALPHA_TOL``) at its down room over ``|alpha|``. Lines the
     exchange does not touch impose no cap (``inf``).
+
+    ``alpha`` is one sensitivity vector or a block of them, one row per
+    exchange (as :func:`exchange_sensitivities` forms it), all capped
+    against the same rooms. Every cap is worked out entry by entry, so
+    each row of a block's caps is bit for bit the caps of that row alone.
     """
     room = np.where(alpha > ALPHA_TOL, up_room, np.where(alpha < -ALPHA_TOL, down_room, np.inf))
     # An untouched line keeps its infinite room whatever |alpha| it divides by.
     return room / np.abs(alpha)
 
 
-def admissible_quantity(line_caps: np.ndarray, quantity_kw: float) -> float:
-    """The part of a requested exchange that the per-line caps admit.
+def admissible_quantity(cap: float, quantity_kw: float) -> float:
+    """The part of a requested exchange that ``cap``, its smallest per-line cap, admits.
 
     A quantity below ``QUANTITY_TOL`` collapses to zero only when some
     line caps the exchange below the requested quantity; an exchange
     that fits in full is never refused, however small.
     """
-    cap = float(line_caps.min())
     quantity = min(float(quantity_kw), cap)
     return 0.0 if quantity < QUANTITY_TOL and cap < quantity_kw else quantity
 
@@ -344,7 +367,7 @@ def max_tradable_quantity(
     ptdf = build_ptdf(network)
     alpha = exchange_sensitivity(ptdf, inject_bus, withdraw_bus)
     rooms = flow_rooms(line_flows(ptdf, dispatch), network.limits)
-    return admissible_quantity(quantity_caps(alpha, *rooms), quantity_kw)
+    return admissible_quantity(float(quantity_caps(alpha, *rooms).min()), quantity_kw)
 
 
 def check_baseline(network: Network, dispatch: DispatchState) -> np.ndarray:

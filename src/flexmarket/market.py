@@ -32,12 +32,16 @@ each a set of match ids:
     all_combinations             P, N           P, N
     scenarios                    0, S_1..S_K    0, S_1..S_K
 
-The book reduces a policy's rows to two per-line rooms, for a flow rise
-and a flow fall, once per state change (an accepted conditional match or
-a baseline move), so each network check is one sensitivity column
-difference capped against cached rooms. An accepted match reuses its
-check's sensitivity, and the baseline flows follow an injection vector
-that moves with the baseline dispatch.
+The book keeps only the running sums its policy reads and reduces a
+policy's rows to two per-line rooms, for a flow rise and a flow fall,
+once per state change (an accepted conditional match or a baseline
+move), so each network check is one sensitivity column difference
+capped against cached rooms. Once a check refuses a candidate, the
+state cannot change until some later candidate of the same scan clears,
+so the rest of the scan's sensitivities are gathered and capped in one
+block, which serves the following checks until one clears. An accepted
+match reuses its check's sensitivity, and the baseline flows follow an
+injection vector that moves with the baseline dispatch.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ from .grid import (
     check_baseline,
     check_flows,
     exchange_buses,
+    exchange_sensitivities,
     exchange_sensitivity,
     finite_number,
-    flow_rooms,
     quantity_caps,
 )
 
@@ -224,6 +228,21 @@ class TradeLogEntry(NamedTuple):
     binding_lines: tuple = ()
 
 
+class _CapsBlock(NamedTuple):
+    """Sensitivities and caps of a scan's candidates from ``start`` on, one row each.
+
+    ``caps`` are against the rooms of ``rows``, and ``mins`` holds each
+    row's smallest cap; a candidate checked against other rows is
+    checked on its own.
+    """
+
+    start: int
+    rows: tuple
+    alphas: np.ndarray
+    caps: np.ndarray
+    mins: list
+
+
 class OrderBook:
     """Order book plus clearing state for one network and one policy.
 
@@ -238,7 +257,9 @@ class OrderBook:
     The baseline dispatch is mutated only by matches with unconditional
     requests and stays line-feasible at all times; accepted conditional
     matches are kept aside and enter the combination sets of later
-    network checks.
+    network checks. The book moves its line flows with its own
+    injection vector, so an edit made to ``book.baseline`` from outside
+    is not seen by ``flows`` or by later checks.
     """
 
     def __init__(
@@ -286,15 +307,18 @@ class OrderBook:
         # Running sums of the accepted matches' line-flow changes at full
         # activation, one row each as the module docstring lists them.
         self._sums = np.zeros((_SCENARIO + len(self.scenarios), len(network.lines)))
-        # Row views bound once, so _accept adds into each row without indexing the array.
-        self._all, self._rise, self._fall = self._sums[_ALL], self._sums[_RISE], self._sums[_FALL]
-        self._scenario_sums = self._sums[_SCENARIO:]
         # The rows of each conditionality, _SCENARIO spelt out as one row per scenario.
         scenario_rows = tuple(range(_SCENARIO, len(self._sums)))
         self._rows = {
             c: sum((scenario_rows if r == _SCENARIO else (r,) for r in rows), ())
             for c, rows in zip((CONDITIONAL, UNCONDITIONAL), _POLICY_ROWS[policy])
         }
+        # Views of the rows some check reads, bound once; _accept adds into these alone,
+        # so a row no check reads stays zero.
+        read = set(self._rows[CONDITIONAL] + self._rows[UNCONDITIONAL])
+        self._all = self._sums[_ALL] if _ALL in read else None
+        self._parts = (self._sums[_RISE], self._sums[_FALL]) if _RISE in read else None
+        self._scenario_sums = self._sums[_SCENARIO:]
         # (up, down) rooms per row tuple, filled by _rooms_for and emptied
         # whenever the baseline flows or the running sums change.
         self._rooms: dict = {}
@@ -374,7 +398,8 @@ class OrderBook:
         inject_bus, withdraw_bus = exchange_buses(request_bus, offer_bus, direction)
         if not (finite_number(quantity_kw) and quantity_kw > 0):
             raise MarketError("candidate quantity must be a finite number > 0")
-        return self._evaluate_candidate(inject_bus, withdraw_bus, quantity_kw, CONDITIONAL)[0]
+        _, line_caps, cap = self._single_caps(inject_bus, withdraw_bus, self._rows[CONDITIONAL])
+        return self._decide(line_caps, cap, quantity_kw)[0]
 
     def activation_snapshot(self, match_ids: Iterable) -> DispatchState:
         """Baseline plus full activation of the named accepted matches, refusing any other id."""
@@ -552,20 +577,34 @@ class OrderBook:
 
     def _try_match(self, incoming: Bid) -> list:
         matches: list = []
-        for other in self._counterparties(incoming):
+        candidates = self._counterparties(incoming)
+        if not candidates:  # the common case, kept as cheap as a loop over nothing
+            return matches
+        # The caps of the rest of the scan, formed once a candidate is refused and
+        # kept until a candidate clears and so changes the state.
+        block: Optional[_CapsBlock] = None
+        for index, other in enumerate(candidates):
             if incoming.quantity_kw <= 0:
                 break
             offer, request = (incoming, other) if incoming.side == OFFER else (other, incoming)
             # Pay as bid: the earlier of the two sets the price.
             price = (offer if offer.sequence < request.sequence else request).price_eur_per_kw
             quantity = min(offer.quantity_kw, request.quantity_kw)
-            inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
-            admissible, binding, alpha = self._evaluate_candidate(
-                inject_bus, withdraw_bus, quantity, request.conditionality
-            )
+            rows = self._rows[request.conditionality]
+            if block is not None and block.rows == rows:
+                row = index - block.start
+                alpha, line_caps, cap = block.alphas[row], block.caps[row], block.mins[row]
+            else:
+                buses = exchange_buses(request.bus, offer.bus, request.direction)
+                alpha, line_caps, cap = self._single_caps(*buses, rows)
+            admissible, binding = self._decide(line_caps, cap, quantity)
             if admissible <= 0:
                 self._log(offer, request, 0.0, price, OUTCOME_REJECTED_CONGESTION, binding)
+                if block is None and len(candidates) - index > 2:
+                    block = self._caps_block(incoming, candidates, index + 1, rows)
                 continue
+            block = None
+            inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
 
             self._match_counter += 1
             record = MatchRecord(
@@ -592,13 +631,16 @@ class OrderBook:
         return matches
 
     def _accept(self, record: MatchRecord, alpha: np.ndarray) -> None:
-        """Add a conditional match, whose exchange sensitivity is ``alpha``, to the running sums."""
+        """Add a conditional match, whose exchange sensitivity is ``alpha``, to the sums read."""
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
         self._rooms.clear()
-        self._all += delta
-        self._rise += np.maximum(delta, 0.0)
-        self._fall += np.minimum(delta, 0.0)
+        if self._all is not None:
+            self._all += delta
+        if self._parts is not None:
+            rise, fall = self._parts
+            rise += np.maximum(delta, 0.0)
+            fall += np.minimum(delta, 0.0)
         for total, scenario in zip(self._scenario_sums, self.scenarios):
             if record.match_id in scenario:
                 total += delta
@@ -629,28 +671,54 @@ class OrderBook:
     # ------------------------------------------------------------------
     # network checks
 
-    def _rooms_for(self, conditionality: str):
-        """Cached (up, down) rooms of the flow rows a candidate is checked against."""
-        rows = self._rows[conditionality]
-        if rows not in self._rooms:
-            self._rooms[rows] = flow_rooms(self._flows + self._sums[rows, :], self.network.limits)
-        return self._rooms[rows]
+    def _rooms_for(self, rows: tuple):
+        """Cached (up, down) rooms of a tuple of flow rows, as :func:`~flexmarket.grid.flow_rooms`.
 
-    def _evaluate_candidate(
-        self, inject_bus, withdraw_bus, quantity_kw: float, conditionality: str
-    ):
-        """Cap a candidate exchange against every mandated combination.
-
-        Returns the admissible quantity, as :func:`admissible_quantity`
-        decides it, the labels of the lines whose cap bound it (empty when
-        the full quantity goes through) and the exchange sensitivity, which
-        an accepted match reuses. Callers have checked ``quantity_kw``.
+        Each row's flows ``f + R`` are folded into the highest and lowest
+        flow per line with ``maximum`` and ``minimum``, which are exact, so
+        the rooms are bit for bit those of the stacked rows.
         """
+        rooms = self._rooms.get(rows)
+        if rooms is None:
+            flows, sums = self._flows, self._sums
+            high = low = flows + sums[rows[0]]
+            for row in rows[1:]:
+                shifted = flows + sums[row]
+                high = np.maximum(high, shifted)
+                low = np.minimum(low, shifted)
+            limits = self.network.limits
+            rooms = np.maximum(limits - high, 0.0), np.maximum(limits + low, 0.0)
+            self._rooms[rows] = rooms
+        return rooms
+
+    def _single_caps(self, inject_bus, withdraw_bus, rows: tuple):
+        """One exchange's sensitivity, its caps against ``rows`` and the smallest of them."""
         alpha = exchange_sensitivity(self.ptdf, inject_bus, withdraw_bus)
-        line_caps = quantity_caps(alpha, *self._rooms_for(conditionality))
-        quantity = admissible_quantity(line_caps, quantity_kw)
+        line_caps = quantity_caps(alpha, *self._rooms_for(rows))
+        return alpha, line_caps, float(line_caps.min())
+
+    def _caps_block(self, incoming: Bid, candidates: list, start: int, rows: tuple):
+        """The exchanges of ``incoming`` with ``candidates[start:]``, capped against ``rows``."""
+        direction, rest = incoming.direction, candidates[start:]
+        if incoming.side == OFFER:
+            buses = [exchange_buses(other.bus, incoming.bus, direction) for other in rest]
+        else:
+            buses = [exchange_buses(incoming.bus, other.bus, direction) for other in rest]
+        alphas = exchange_sensitivities(self.ptdf, *zip(*buses))
+        caps = quantity_caps(alphas, *self._rooms_for(rows))
+        return _CapsBlock(start, rows, alphas, caps, caps.min(axis=1).tolist())
+
+    def _decide(self, line_caps: np.ndarray, cap: float, quantity_kw: float):
+        """The admissible quantity under per-line caps, and the labels of the lines that bind.
+
+        ``cap`` is the smallest of ``line_caps``. The quantity is as
+        :func:`admissible_quantity` decides it; no line binds when the full
+        quantity goes through. A single check and a row of a block both
+        end here.
+        """
+        quantity = admissible_quantity(cap, quantity_kw)
         binding: tuple = ()
         if quantity < quantity_kw - QUANTITY_TOL:
             bound = (line_caps <= quantity + QUANTITY_TOL).nonzero()[0]
             binding = tuple(self.network.line_labels[i] for i in bound.tolist())
-        return quantity, binding, alpha
+        return quantity, binding

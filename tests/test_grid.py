@@ -176,6 +176,13 @@ class TestPtdfSharing:
             ptdf.matrix[0, 1] = 0.5
         assert build_ptdf(network) is ptdf
 
+    def test_a_column_is_a_read_only_contiguous_row(self):
+        ptdf = build_ptdf(meshed_three_bus())
+        for position, bus in enumerate(ptdf.buses):
+            column = ptdf.column(bus)
+            assert column.flags.c_contiguous and not column.flags.writeable
+            assert column.tobytes() == np.ascontiguousarray(ptdf.matrix[:, position]).tobytes()
+
     def test_an_equal_network_gets_its_own_solve(self):
         first, second = meshed_three_bus(), meshed_three_bus()
         assert build_ptdf(first) is not build_ptdf(second)

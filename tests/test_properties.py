@@ -31,6 +31,8 @@ from flexmarket import (
     TradeLogEntry,
     book_json,
     build_ptdf,
+    exchange_sensitivities,
+    exchange_sensitivity,
     flow_rooms,
     line_flows,
     load_bids,
@@ -70,7 +72,7 @@ from flexmarket.oracle import (
     worst_subset_check,
 )
 
-from conftest import DATA
+from conftest import DATA, random_network
 
 #: Agreement bound between the closed-form check and brute-force
 #: enumeration, fixed before either is run: a few times the engine's
@@ -245,6 +247,38 @@ def test_caps_from_rooms_equal_the_stack_minimum(case):
     if len(flows) == 1:  # a single vector is a one-row stack
         single = quantity_caps(alpha, *flow_rooms(flows[0], limits))
         assert single.tolist() == caps.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), min_size=1,
+                   max_size=8),
+    pinned=st.integers(0, 10 ** 6),
+)
+def test_a_block_of_sensitivities_and_caps_equals_its_rows(seed, picks, pinned):
+    """A gathered block of sensitivities, and its caps, are bit for bit the single ones.
+
+    Radial and meshed feeders alike; the caps are against two flow rows, with one
+    line's flow at its limit so that some room is exactly zero.
+    """
+    network, dispatch = random_network(np.random.default_rng(seed), max_buses=10, mesh_prob=0.5)
+    ptdf, buses = build_ptdf(network), network.buses
+    pairs = [(buses[a % len(buses)], buses[b % len(buses)]) for a, b in picks]
+    alphas = exchange_sensitivities(ptdf, *zip(*pairs))
+    assert alphas.shape == (len(pairs), len(network.lines))
+    for row, (inject, withdraw) in zip(alphas, pairs):
+        assert row.tobytes() == exchange_sensitivity(ptdf, inject, withdraw).tobytes()
+
+    flows = line_flows(ptdf, dispatch)
+    shifted = flows.copy()
+    line = pinned % len(flows)
+    shifted[line] = network.limits[line] * (1.0 if pinned % 2 else -1.0)
+    rooms = flow_rooms(np.stack([flows, shifted]), network.limits)
+    caps = quantity_caps(alphas, *rooms)
+    assert caps.shape == alphas.shape
+    for row, alpha in zip(caps, alphas):
+        assert row.tobytes() == quantity_caps(alpha, *rooms).tobytes()
 
 
 def bid_stream_strategy():

@@ -4,7 +4,8 @@ The same machine runs under every policy, on small random feeders, radial
 or meshed. After every step the book must have conserved every bid's
 quantity, traded every match at the earlier bid's price and kept its
 baseline within the line limits, with flows bit for bit those of its
-baseline dispatch, and its conditional matches must be as
+baseline dispatch and rooms bit for bit those of the flow rows its
+policy names, and its conditional matches must be as
 safe to activate as its policy promises. The oracle's DC solves, which
 share no code with the engine's sensitivity matrix, judge the network.
 """
@@ -24,12 +25,23 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from flexmarket import Bid, MarketConfig, OrderBook, book_json, line_flows, load_book, new_book
+from flexmarket import (
+    Bid,
+    MarketConfig,
+    OrderBook,
+    book_json,
+    exchange_sensitivity,
+    flow_rooms,
+    line_flows,
+    load_book,
+    new_book,
+)
 from flexmarket.grid import QUANTITY_TOL
 from flexmarket.market import (
     ALL_COMBINATIONS,
     CONDITIONAL,
     CUMULATIVE,
+    INDIVIDUAL,
     INDIVIDUAL_AND_CUMULATIVE,
     OFFER,
     ORDERS,
@@ -166,6 +178,35 @@ class BookLife(RuleBasedStateMachine):
     def the_flows_are_the_baselines_to_the_bit(self):
         # The book moves its injection vector with its baseline dict; the two must agree exactly.
         assert np.array_equal(self.book.flows, line_flows(self.book.ptdf, self.book.baseline))
+
+    @invariant()
+    def the_rooms_are_those_of_the_stacked_rows(self):
+        # The running sums worked out afresh from the accepted matches, in acceptance order.
+        book = self.book
+        zero = np.zeros(len(self.network.lines))
+        total, rise, fall = zero.copy(), zero.copy(), zero.copy()
+        scenario_totals = [zero.copy() for _ in book.scenarios]
+        for record in book.accepted:
+            delta = exchange_sensitivity(book.ptdf, record.inject_bus, record.withdraw_bus)
+            delta = delta * record.quantity_kw
+            total += delta
+            rise += np.maximum(delta, 0.0)
+            fall += np.minimum(delta, 0.0)
+            for scenario_total, scenario in zip(scenario_totals, book.scenarios):
+                if record.match_id in scenario:
+                    scenario_total += delta
+        conditional, unconditional = {
+            INDIVIDUAL: ([zero], [zero]),
+            CUMULATIVE: ([total], [zero, total]),
+            INDIVIDUAL_AND_CUMULATIVE: ([zero, total], [zero, total]),
+            ALL_COMBINATIONS: ([rise, fall], [rise, fall]),
+            SCENARIOS: ([zero, *scenario_totals], [zero, *scenario_totals]),
+        }[self.policy]
+        for conditionality, rows in ((CONDITIONAL, conditional), (UNCONDITIONAL, unconditional)):
+            expected = flow_rooms(book.flows + np.stack(rows), self.network.limits)
+            # The rooms are private; the book checks every candidate against them.
+            rooms = book._rooms_for(book._rows[conditionality])
+            assert [r.tobytes() for r in rooms] == [r.tobytes() for r in expected]
 
     @invariant()
     def the_lines_hold_as_the_policy_promises(self):
