@@ -17,6 +17,12 @@ its baseline flow, under all five policies. There most pairings are
 refused for congestion, often many in a row within one scan, and
 re-evaluation passes re-try refused pairs, so its digests pin the
 network check where it refuses rather than where it clears.
+
+A third stream runs on a generated radial feeder of 100 lines, again
+with every limit a few kW above its baseline flow, under the policies
+that stack accepted matches. Its scans refuse long runs of counterparties
+of both conditionalities, so the book caps them in blocks, and its
+digests pin those blocks on a feeder where most lines have room to spare.
 """
 
 import hashlib
@@ -27,6 +33,7 @@ import pytest
 
 from flexmarket import (
     Bid,
+    DispatchState,
     MarketConfig,
     Line,
     MarketError,
@@ -258,3 +265,100 @@ def test_congested_replay_digest_is_unchanged(policy, order):
     assert any(pairings[pair] > 1 for pair in refused)
     assert len(book.accepted) > 0 and outcomes[OUTCOME_PARTIAL] > 0
     assert digest == CONGESTED_DIGESTS[policy, order]
+
+
+FEEDER_SEED = 5
+FEEDER_BIDS = 150
+
+FEEDER_DIGESTS = {
+    (ALL_COMBINATIONS, ORDER_BEST_PRICE): (
+        "05fed4990928bedd8e3ca30e2f77c5ca626b6d77eb40816826632a6e2d69b5c0"
+    ),
+    (ALL_COMBINATIONS, ORDER_FIFO): (
+        "df61cea9d74d52090cefe193ab31408bc437798e0ce26e49c325e7af4d02b5a4"
+    ),
+    (CUMULATIVE, ORDER_BEST_PRICE): (
+        "9746233b8ec1a564af74744d7d52901c9ff4fa68b61b58a736b0ca26b9eb8fbf"
+    ),
+    (CUMULATIVE, ORDER_FIFO): (
+        "a6562ddc6f8462126762a4f019feb6b5447140b0359c54bce8b691e3a45b98cb"
+    ),
+    (INDIVIDUAL_AND_CUMULATIVE, ORDER_BEST_PRICE): (
+        "b57dd23171771df9cd0d986f71b1561025ab636f91b87890e74fba8555e96b5e"
+    ),
+    (INDIVIDUAL_AND_CUMULATIVE, ORDER_FIFO): (
+        "34110a394b80359eb2639a461f4d33e61ef4756e076f8385ce7df8abbe0999a5"
+    ),
+}
+
+
+def radial_feeder(rng, n_buses=101):
+    """A radial feeder of ``n_buses - 1`` lines, with every limit 5-15 kW above its baseline flow.
+
+    Bus ``i`` hangs off one of the five buses numbered just below it, so
+    the feeder has long branches, and every bus but the slack draws a
+    whole-kW load. Limits are whole kW, as in ``congested_replay``.
+    """
+    buses = [str(i) for i in range(1, n_buses + 1)]
+    lines = [
+        Line(str(rng.randint(max(1, i - 5), i - 1)), str(i), round(rng.uniform(0.01, 0.2), 3), 1.0)
+        for i in range(2, n_buses + 1)
+    ]
+    injection = {bus: -float(rng.randint(1, 20)) for bus in buses[1:]}
+    injection["1"] = -sum(injection.values())
+    baseline = DispatchState(injection)
+    flows = line_flows(build_ptdf(Network(buses, lines, "1")), baseline)
+    lines = [
+        Line(line.from_bus, line.to_bus, line.reactance, float(round(abs(flow)) + rng.randint(5, 15)))
+        for line, flow in zip(lines, flows)
+    ]
+    return Network(buses, lines, "1"), baseline
+
+
+def feeder_replay(policy, order, seed=FEEDER_SEED, n_bids=FEEDER_BIDS):
+    """A bid stream on :func:`radial_feeder`, its digest, the book and the blocks it formed.
+
+    Each block is recorded as the conditionalities of the requests it spans
+    when an offer scans requests, and as None when a request scans offers.
+    """
+    rng = random.Random(seed)
+    network, baseline = radial_feeder(rng)
+    book = OrderBook(network, baseline, policy, order=order)
+    blocks = []
+    form_block = book._caps_block
+
+    def recording_block(incoming, candidates, start, rows):
+        block = form_block(incoming, candidates, start, rows)
+        spanned = {other.conditionality for other in candidates[start:]}
+        blocks.append(spanned if incoming.side == "offer" else None)
+        return block
+
+    book._caps_block = recording_block
+    for i in range(n_bids):
+        side = "request" if rng.random() < 0.5 else "offer"
+        direction = "up" if rng.random() < 0.5 else "down"
+        bus = str(rng.randint(2, len(network.buses)))
+        quantity = rng.choice([rng.randint(2, 30), round(rng.uniform(1.0, 30.0), 3)])
+        if side == "request":
+            price = round(rng.uniform(0.030, 0.060), 4)
+            conditionality = "conditional" if rng.random() < 0.7 else "unconditional"
+        else:
+            price = round(rng.uniform(0.020, 0.050), 4)
+            conditionality = None
+        book.submit_bid(Bid(f"b{i + 1}", side, direction, bus, quantity, price, conditionality))
+    payload = ("\n".join(trade_log_lines(book.trade_log)) + "\n" + book_json(book)).encode()
+    return hashlib.sha256(payload).hexdigest(), book, blocks
+
+
+@pytest.mark.parametrize("policy, order", sorted(FEEDER_DIGESTS))
+def test_radial_feeder_replay_digest_is_unchanged(policy, order):
+    digest, book, blocks = feeder_replay(policy, order)
+    assert len(book.network.lines) == 100
+    outcomes = Counter(entry.outcome for entry in book.trade_log)
+    assert outcomes[OUTCOME_REJECTED_CONGESTION] > len(book.trade_log) / 2
+    assert outcomes[OUTCOME_PARTIAL] > 0 and len(book.accepted) > 0
+    # Unconditional matches moved the baseline, as only they do.
+    assert book.match_count > len(book.accepted)
+    # Some blocks span requests of both conditionalities.
+    assert sum(spanned is not None and len(spanned) == 2 for spanned in blocks) > 0
+    assert digest == FEEDER_DIGESTS[policy, order]
