@@ -37,7 +37,6 @@ from .grid import (
     PtdfMatrix,
     build_ptdf,
     exchange_buses,
-    exchange_sensitivities,
     exchange_sensitivity,
     flow_rooms,
     line_flows,
@@ -92,7 +91,6 @@ __all__ = [
     "build_ptdf",
     "dc_solve",
     "exchange_buses",
-    "exchange_sensitivities",
     "exchange_sensitivity",
     "exhaustive_subset_check",
     "flow_rooms",

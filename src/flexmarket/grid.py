@@ -6,8 +6,9 @@ the power transfer distribution factors (PTDFs). Each entry gives the
 change in a line flow per kW injected at a bus and withdrawn at the
 slack. From it we derive current flows, the sensitivity of every line
 to a bus-to-bus exchange, each line's room for a flow rise and a flow
-fall, the per-line cap those rooms put on an exchange, and the largest
-exchange quantity that keeps all lines within their limits.
+fall, the lines whose rooms are small enough to refuse an exchange, the
+per-line cap those rooms put on an exchange, and the largest exchange
+quantity that keeps all lines within their limits.
 
 A :class:`Network` cannot change once built. All functions here are pure
 apart from :func:`build_ptdf`, which keeps each network's PTDF on it
@@ -176,13 +177,16 @@ class PtdfMatrix:
     the bus and withdrawn at the slack. The slack column is identically
     zero. For a purely radial network every entry is in {-1, 0, +1}.
     A write-locked, C-contiguous copy of the columns, one row per bus,
-    serves :meth:`column` and :func:`exchange_sensitivities`, so the
+    serves :meth:`column` and the order book's blocks of caps, so the
     sensitivities a network check forms are read from contiguous memory.
+    ``alpha_bound`` is twice the largest entry magnitude: no exchange
+    sensitivity, one column minus another, exceeds it on any line.
     """
 
     matrix: np.ndarray
     buses: tuple
     line_labels: tuple
+    alpha_bound: float = field(init=False, repr=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
     _by_bus: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -191,6 +195,10 @@ class PtdfMatrix:
         by_bus = np.ascontiguousarray(self.matrix.T)
         by_bus.setflags(write=False)
         object.__setattr__(self, "_by_bus", by_bus)
+        # From the two extremes, without an |matrix| temporary the size of the PTDF. Doubling
+        # is exact, and so is the float subtraction bound: |a - b| <= 2 max(|a|, |b|).
+        largest = max(float(self.matrix.max()), -float(self.matrix.min()))
+        object.__setattr__(self, "alpha_bound", 2 * largest)
 
     def __contains__(self, bus) -> bool:
         try:
@@ -289,17 +297,6 @@ def exchange_sensitivity(ptdf: PtdfMatrix, inject_bus, withdraw_bus) -> np.ndarr
     return ptdf.column(inject_bus) - ptdf.column(withdraw_bus)
 
 
-def exchange_sensitivities(ptdf: PtdfMatrix, inject_buses, withdraw_buses) -> np.ndarray:
-    """One :func:`exchange_sensitivity` row per (injection, withdrawal) bus pair, in one gather.
-
-    Row ``i`` is bit for bit ``exchange_sensitivity(ptdf, inject_buses[i],
-    withdraw_buses[i])``: the same two columns, subtracted once.
-    """
-    position, by_bus = ptdf.bus_position, ptdf._by_bus
-    injections = by_bus[[position(b) for b in inject_buses]]
-    return injections - by_bus[[position(b) for b in withdraw_buses]]
-
-
 def flow_rooms(flows: np.ndarray, limits: np.ndarray):
     """Per-line room for a flow rise and for a flow fall, over every flow row.
 
@@ -325,13 +322,33 @@ def quantity_caps(alpha: np.ndarray, up_room: np.ndarray, down_room: np.ndarray)
     exchange does not touch impose no cap (``inf``).
 
     ``alpha`` is one sensitivity vector or a block of them, one row per
-    exchange (as :func:`exchange_sensitivities` forms it), all capped
-    against the same rooms. Every cap is worked out entry by entry, so
-    each row of a block's caps is bit for bit the caps of that row alone.
+    exchange, all capped against the same rooms; the rooms and the
+    columns of ``alpha`` may be any subset of the lines, taken alike.
+    Every cap is worked out entry by entry, so each row of a block's caps
+    is bit for bit the caps of that row alone, and each line's cap is the
+    same whichever other lines are capped with it.
     """
     room = np.where(alpha > ALPHA_TOL, up_room, np.where(alpha < -ALPHA_TOL, down_room, np.inf))
     # An untouched line keeps its infinite room whatever |alpha| it divides by.
     return room / np.abs(alpha)
+
+
+def saturated_lines(up_room: np.ndarray, down_room: np.ndarray, alpha_bound: float) -> np.ndarray:
+    """Indices, in line order, of the lines that can refuse an exchange against these rooms.
+
+    A line is saturated when its up or its down room is at most
+    ``2 * QUANTITY_TOL * alpha_bound``, where ``alpha_bound`` bounds every
+    exchange sensitivity in magnitude (:attr:`PtdfMatrix.alpha_bound`).
+    Any other line caps every exchange above ``QUANTITY_TOL``: its room
+    over a sensitivity of at most ``alpha_bound`` is at least twice the
+    tolerance, and the factor two covers the rounding of the threshold
+    and of the division. So such a line never gives the smallest cap of
+    a refused exchange and never binds one at 0 kW, and
+    :func:`admissible_quantity` refuses an exchange on the smallest cap
+    of the saturated lines exactly when it refuses it on the smallest
+    cap of all lines.
+    """
+    return (np.minimum(up_room, down_room) <= 2 * QUANTITY_TOL * alpha_bound).nonzero()[0]
 
 
 def admissible_quantity(cap: float, quantity_kw: float) -> float:

@@ -38,10 +38,16 @@ once per state change (an accepted conditional match or a baseline
 move), so each network check is one sensitivity column difference
 capped against cached rooms. Once a check refuses a candidate, the
 state cannot change until some later candidate of the same scan clears,
-so the rest of the scan's sensitivities are gathered and capped in one
-block, which serves the following checks until one clears. An accepted
-match reuses its check's sensitivity, and the baseline flows follow an
-injection vector that moves with the baseline dispatch.
+so the rest of the scan is screened in one block. Only a saturated line,
+one with a room of at most 2 * QUANTITY_TOL * A where A = 2 max |PTDF
+entry| bounds every sensitivity, can cap an exchange at QUANTITY_TOL or
+below; so the block caps the remaining candidates on the saturated lines
+alone, and a candidate is refused on them exactly when the full check
+refuses it, with the same binding lines. The block logs each refusal it
+finds, and the first candidate it does not refuse takes the full check,
+which clears it. An accepted match reuses its check's sensitivity, and
+the baseline flows follow an injection vector that moves with the
+baseline dispatch.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from itertools import compress
 from operator import attrgetter
 from typing import Hashable, Iterable, NamedTuple, Optional
 
@@ -66,10 +73,10 @@ from .grid import (
     check_baseline,
     check_flows,
     exchange_buses,
-    exchange_sensitivities,
     exchange_sensitivity,
     finite_number,
     quantity_caps,
+    saturated_lines,
 )
 
 OFFER = "offer"
@@ -229,18 +236,19 @@ class TradeLogEntry(NamedTuple):
 
 
 class _CapsBlock(NamedTuple):
-    """Sensitivities and caps of a scan's candidates from ``start`` on, one row each.
+    """The caps of a scan's candidates from ``start`` on, on the saturated lines of ``rows``.
 
-    ``caps`` are against the rooms of ``rows``, and ``mins`` holds each
-    row's smallest cap; a candidate checked against other rows is
-    checked on its own.
+    ``labels`` are those lines' labels. Per candidate, one entry each,
+    ``mins`` holds the smallest of its caps on them and ``hits`` whether
+    each cap is at most ``QUANTITY_TOL``. A candidate checked against
+    other rows is checked on its own.
     """
 
     start: int
     rows: tuple
-    alphas: np.ndarray
-    caps: np.ndarray
+    labels: list
     mins: list
+    hits: list
 
 
 class OrderBook:
@@ -319,9 +327,11 @@ class OrderBook:
         self._all = self._sums[_ALL] if _ALL in read else None
         self._parts = (self._sums[_RISE], self._sums[_FALL]) if _RISE in read else None
         self._scenario_sums = self._sums[_SCENARIO:]
-        # (up, down) rooms per row tuple, filled by _rooms_for and emptied
-        # whenever the baseline flows or the running sums change.
+        # (up, down) rooms per row tuple, filled by _rooms_for, and the saturated
+        # lines of those rooms, filled by _screen_for; both are emptied whenever
+        # the baseline flows or the running sums change.
         self._rooms: dict = {}
+        self._screens: dict = {}
         self.trade_log: list = []
         self.round = 0
         self._match_counter = 0
@@ -593,10 +603,17 @@ class OrderBook:
             rows = self._rows[request.conditionality]
             if block is not None and block.rows == rows:
                 row = index - block.start
-                alpha, line_caps, cap = block.alphas[row], block.caps[row], block.mins[row]
-            else:
-                buses = exchange_buses(request.bus, offer.bus, request.direction)
-                alpha, line_caps, cap = self._single_caps(*buses, rows)
+                if admissible_quantity(block.mins[row], quantity) <= 0:
+                    # As _decide names them at 0 kW: the lines capped at most QUANTITY_TOL,
+                    # once more than the tolerance is refused.
+                    binding = ()
+                    if 0.0 < quantity - QUANTITY_TOL:
+                        binding = tuple(compress(block.labels, block.hits[row]))
+                    self._log(offer, request, 0.0, price, OUTCOME_REJECTED_CONGESTION, binding)
+                    continue
+                # The screen is exact, so the single check below clears this candidate.
+            inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
+            alpha, line_caps, cap = self._single_caps(inject_bus, withdraw_bus, rows)
             admissible, binding = self._decide(line_caps, cap, quantity)
             if admissible <= 0:
                 self._log(offer, request, 0.0, price, OUTCOME_REJECTED_CONGESTION, binding)
@@ -604,7 +621,6 @@ class OrderBook:
                     block = self._caps_block(incoming, candidates, index + 1, rows)
                 continue
             block = None
-            inject_bus, withdraw_bus = exchange_buses(request.bus, offer.bus, request.direction)
 
             self._match_counter += 1
             record = MatchRecord(
@@ -635,6 +651,7 @@ class OrderBook:
         delta = alpha * record.quantity_kw
         self.accepted.append(record)
         self._rooms.clear()
+        self._screens.clear()
         if self._all is not None:
             self._all += delta
         if self._parts is not None:
@@ -662,6 +679,7 @@ class OrderBook:
         # The match was capped to fit, so this must hold; a failure here is a bug.
         self._flows = check_flows(self.network, self.ptdf.matrix @ injections)
         self._rooms.clear()
+        self._screens.clear()
 
     def _log(self, offer, request, quantity, price, outcome, binding) -> None:
         self.trade_log.append(
@@ -697,24 +715,51 @@ class OrderBook:
         line_caps = quantity_caps(alpha, *self._rooms_for(rows))
         return alpha, line_caps, float(line_caps.min())
 
+    def _screen_for(self, rows: tuple):
+        """Cached saturated lines of the rooms of ``rows``: indices, labels, up and down rooms.
+
+        The lines are :func:`~flexmarket.grid.saturated_lines`, the only ones
+        that can refuse an exchange, and the rooms those of :meth:`_rooms_for`
+        taken on them alone.
+        """
+        screen = self._screens.get(rows)
+        if screen is None:
+            up_room, down_room = self._rooms_for(rows)
+            lines = saturated_lines(up_room, down_room, self.ptdf.alpha_bound)
+            labels = self.network.line_labels
+            screen = lines, [labels[i] for i in lines.tolist()], up_room[lines], down_room[lines]
+            self._screens[rows] = screen
+        return screen
+
     def _caps_block(self, incoming: Bid, candidates: list, start: int, rows: tuple):
-        """The exchanges of ``incoming`` with ``candidates[start:]``, capped against ``rows``."""
-        direction, rest = incoming.direction, candidates[start:]
-        if incoming.side == OFFER:
-            buses = [exchange_buses(other.bus, incoming.bus, direction) for other in rest]
+        """The exchanges of ``incoming`` with ``candidates[start:]``, capped on the saturated lines.
+
+        Each sensitivity entry is the injection bus's PTDF entry minus the
+        withdrawal bus's, as :func:`~flexmarket.grid.exchange_sensitivity`
+        forms it, so each cap is bit for bit the single check's on that line.
+        """
+        lines, labels, up_room, down_room = self._screen_for(rows)
+        position = self.ptdf.bus_position
+        buses = [position(incoming.bus)] + [position(other.bus) for other in candidates[start:]]
+        # The by-bus PTDF rows of the incoming bus and of each candidate's, on those lines.
+        gathered = self.ptdf._by_bus.take(buses, axis=0).take(lines, axis=1)
+        own, others = gathered[0], gathered[1:]
+        # Which side injects, as exchange_buses assigns the buses of a pair.
+        if exchange_buses(REQUEST, OFFER, incoming.direction)[0] == incoming.side:
+            alphas = own - others
         else:
-            buses = [exchange_buses(incoming.bus, other.bus, direction) for other in rest]
-        alphas = exchange_sensitivities(self.ptdf, *zip(*buses))
-        caps = quantity_caps(alphas, *self._rooms_for(rows))
-        return _CapsBlock(start, rows, alphas, caps, caps.min(axis=1).tolist())
+            alphas = others - own
+        caps = quantity_caps(alphas, up_room, down_room)
+        # A block follows a refusal against the same rooms, so some line is saturated.
+        mins = caps.min(axis=1).tolist()
+        return _CapsBlock(start, rows, labels, mins, (caps <= QUANTITY_TOL).tolist())
 
     def _decide(self, line_caps: np.ndarray, cap: float, quantity_kw: float):
         """The admissible quantity under per-line caps, and the labels of the lines that bind.
 
         ``cap`` is the smallest of ``line_caps``. The quantity is as
         :func:`admissible_quantity` decides it; no line binds when the full
-        quantity goes through. A single check and a row of a block both
-        end here.
+        quantity goes through.
         """
         quantity = admissible_quantity(cap, quantity_kw)
         binding: tuple = ()

@@ -10,6 +10,7 @@ import os
 import random
 import tempfile
 import threading
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from flexmarket import (
     TradeLogEntry,
     book_json,
     build_ptdf,
-    exchange_sensitivities,
     exchange_sensitivity,
     flow_rooms,
     line_flows,
@@ -47,7 +47,14 @@ from flexmarket import (
     write_trade_log,
 )
 from flexmarket.cli import main
-from flexmarket.grid import ALPHA_TOL, DOWN, UP
+from flexmarket.grid import (
+    ALPHA_TOL,
+    DOWN,
+    QUANTITY_TOL,
+    UP,
+    admissible_quantity,
+    saturated_lines,
+)
 from flexmarket.market import (
     ALL_COMBINATIONS,
     CONDITIONAL,
@@ -249,36 +256,113 @@ def test_caps_from_rooms_equal_the_stack_minimum(case):
         assert single.tolist() == caps.tolist()
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def screen_cases(draw):
+    """A random radial or meshed feeder, rooms, one exchange sensitivity and a quantity.
+
+    Rooms sit at 0, at the saturation threshold ``2 * QUANTITY_TOL * A``,
+    one ulp above it, below it or anywhere; ``A`` is the feeder's
+    :attr:`PtdfMatrix.alpha_bound`. The sensitivity is a real exchange's,
+    with some entries replaced by ``±ALPHA_TOL``, values just past it,
+    ``±A`` or any value within ``A``. Quantities include values below
+    ``QUANTITY_TOL`` and ``int`` kW.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    network, _ = random_network(np.random.default_rng(seed), max_buses=10, mesh_prob=0.5)
+    ptdf = build_ptdf(network)
+    bound = ptdf.alpha_bound
+    threshold = 2 * QUANTITY_TOL * bound
+    rooms = st.one_of(
+        st.sampled_from([0.0, threshold, float(np.nextafter(threshold, np.inf))]),
+        st.floats(0.0, 1.0).map(lambda share: share * threshold),
+        st.floats(0.0, 200.0),
+    )
+    n = len(network.lines)
+    up_room = np.array([draw(rooms) for _ in range(n)])
+    down_room = np.array([draw(rooms) for _ in range(n)])
+    inject, withdraw = (draw(st.sampled_from(network.buses)) for _ in range(2))
+    alpha = exchange_sensitivity(ptdf, inject, withdraw).copy()
+    entries = st.one_of(
+        st.none(),
+        st.sampled_from([ALPHA_TOL, -ALPHA_TOL, float(np.nextafter(ALPHA_TOL, 1.0))]),
+        st.sampled_from([bound, -bound]),
+        st.floats(-bound, bound),
+    )
+    for line in range(n):
+        entry = draw(entries)
+        if entry is not None:
+            alpha[line] = entry
+    quantity = draw(st.one_of(
+        st.floats(1e-9, QUANTITY_TOL),
+        st.sampled_from([QUANTITY_TOL, float(np.nextafter(QUANTITY_TOL, 0.0))]),
+        st.integers(1, 50),
+        st.floats(QUANTITY_TOL, 50.0),
+    ))
+    return network, alpha, up_room, down_room, quantity
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_cases())
+def test_the_screen_refuses_exactly_as_the_full_check(case):
+    """Capped on its saturated lines alone, an exchange is refused exactly when in full.
+
+    And, when refused, the lines capped at most ``QUANTITY_TOL`` among the
+    saturated ones, named as the order book names a refusal of its block,
+    are bit for bit the binding lines of the full check.
+    """
+    network, alpha, up_room, down_room, quantity = case
+    caps = quantity_caps(alpha, up_room, down_room)
+    book = OrderBook(network, DispatchState(dict.fromkeys(network.buses, 0.0)), INDIVIDUAL)
+    admissible, binding = book._decide(caps, float(caps.min()), quantity)
+
+    lines = saturated_lines(up_room, down_room, book.ptdf.alpha_bound)
+    screened = quantity_caps(alpha[lines], up_room[lines], down_room[lines])
+    refused = admissible_quantity(float(screened.min(initial=np.inf)), quantity) <= 0
+    assert refused == (admissible <= 0)
+    if refused:
+        labels = [network.line_labels[i] for i in lines.tolist()]
+        named = ()
+        if 0.0 < quantity - QUANTITY_TOL:
+            named = tuple(compress(labels, (screened <= QUANTITY_TOL).tolist()))
+        assert named == binding
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
-    picks=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), min_size=1,
-                   max_size=8),
-    pinned=st.integers(0, 10 ** 6),
+    policy=st.sampled_from(POLICY_VARIANTS),
+    raw=st.lists(
+        st.tuples(
+            st.sampled_from(["offer", "request"]),
+            st.sampled_from(["up", "down"]),
+            st.integers(0, 10 ** 6),  # bus pick
+            st.one_of(st.integers(1, 30), st.floats(1e-8, QUANTITY_TOL), st.floats(1e-8, 30.0)),
+        ),
+        min_size=20,
+        max_size=50,
+    ),
 )
-def test_a_block_of_sensitivities_and_caps_equals_its_rows(seed, picks, pinned):
-    """A gathered block of sensitivities, and its caps, are bit for bit the single ones.
+def test_a_screened_scan_logs_what_single_checks_log(seed, policy, raw):
+    """Runs of refusals screened on the saturated lines log what a check per pair logs.
 
-    Radial and meshed feeders alike; the caps are against two flow rows, with one
-    line's flow at its limit so that some room is exactly zero.
+    A congested random feeder, radial or meshed, with crossing prices, so
+    scans refuse runs of counterparties; the reference book forms no block.
+    Requests are conditional: on such a feeder an unconditional match and a
+    conditional one can unlock each other in turn, a few µkW at a time, for
+    longer than a test can wait. The replay digests pin blocks that mix both.
     """
-    network, dispatch = random_network(np.random.default_rng(seed), max_buses=10, mesh_prob=0.5)
-    ptdf, buses = build_ptdf(network), network.buses
-    pairs = [(buses[a % len(buses)], buses[b % len(buses)]) for a, b in picks]
-    alphas = exchange_sensitivities(ptdf, *zip(*pairs))
-    assert alphas.shape == (len(pairs), len(network.lines))
-    for row, (inject, withdraw) in zip(alphas, pairs):
-        assert row.tobytes() == exchange_sensitivity(ptdf, inject, withdraw).tobytes()
-
-    flows = line_flows(ptdf, dispatch)
-    shifted = flows.copy()
-    line = pinned % len(flows)
-    shifted[line] = network.limits[line] * (1.0 if pinned % 2 else -1.0)
-    rooms = flow_rooms(np.stack([flows, shifted]), network.limits)
-    caps = quantity_caps(alphas, *rooms)
-    assert caps.shape == alphas.shape
-    for row, alpha in zip(caps, alphas):
-        assert row.tobytes() == quantity_caps(alpha, *rooms).tobytes()
+    rng = np.random.default_rng(seed)
+    network, dispatch = random_network(rng, max_buses=8, mesh_prob=0.5, margin=(0.0, 5.0))
+    scenarios = ({"m1", "m3"}, {"m2"}) if policy == SCENARIOS else ()
+    screened, single = (OrderBook(network, dispatch, policy, scenarios=scenarios) for _ in "ab")
+    single._caps_block = lambda *args: None
+    for i, (side, direction, pick, quantity) in enumerate(raw):
+        price, conditionality = (0.05, CONDITIONAL) if side == "request" else (0.02, None)
+        bus = network.buses[pick % len(network.buses)]
+        for book in (screened, single):
+            book.submit_bid(Bid(f"b{i}", side, direction, bus, quantity, price, conditionality))
+    assert screened.trade_log == single.trade_log
+    assert book_json(screened) == book_json(single)
 
 
 def bid_stream_strategy():

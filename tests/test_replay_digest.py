@@ -308,9 +308,10 @@ def radial_feeder(rng, n_buses=101):
     injection["1"] = -sum(injection.values())
     baseline = DispatchState(injection)
     flows = line_flows(build_ptdf(Network(buses, lines, "1")), baseline)
+    limits = [float(round(abs(flow)) + rng.randint(5, 15)) for flow in flows]
     lines = [
-        Line(line.from_bus, line.to_bus, line.reactance, float(round(abs(flow)) + rng.randint(5, 15)))
-        for line, flow in zip(lines, flows)
+        Line(line.from_bus, line.to_bus, line.reactance, limit)
+        for line, limit in zip(lines, limits)
     ]
     return Network(buses, lines, "1"), baseline
 
@@ -318,8 +319,9 @@ def radial_feeder(rng, n_buses=101):
 def feeder_replay(policy, order, seed=FEEDER_SEED, n_bids=FEEDER_BIDS):
     """A bid stream on :func:`radial_feeder`, its digest, the book and the blocks it formed.
 
-    Each block is recorded as the conditionalities of the requests it spans
-    when an offer scans requests, and as None when a request scans offers.
+    Each block is recorded as the number of saturated lines it caps and the
+    conditionalities of the requests it spans, or None when a request scans
+    offers.
     """
     rng = random.Random(seed)
     network, baseline = radial_feeder(rng)
@@ -330,7 +332,7 @@ def feeder_replay(policy, order, seed=FEEDER_SEED, n_bids=FEEDER_BIDS):
     def recording_block(incoming, candidates, start, rows):
         block = form_block(incoming, candidates, start, rows)
         spanned = {other.conditionality for other in candidates[start:]}
-        blocks.append(spanned if incoming.side == "offer" else None)
+        blocks.append((len(block.labels), spanned if incoming.side == "offer" else None))
         return block
 
     book._caps_block = recording_block
@@ -359,6 +361,8 @@ def test_radial_feeder_replay_digest_is_unchanged(policy, order):
     assert outcomes[OUTCOME_PARTIAL] > 0 and len(book.accepted) > 0
     # Unconditional matches moved the baseline, as only they do.
     assert book.match_count > len(book.accepted)
-    # Some blocks span requests of both conditionalities.
-    assert sum(spanned is not None and len(spanned) == 2 for spanned in blocks) > 0
+    # Every block follows a refusal, so it caps some saturated line, and some
+    # blocks span requests of both conditionalities.
+    assert blocks and all(saturated > 0 for saturated, _ in blocks)
+    assert any(spanned is not None and len(spanned) == 2 for _, spanned in blocks)
     assert digest == FEEDER_DIGESTS[policy, order]

@@ -4,10 +4,11 @@ The same machine runs under every policy, on small random feeders, radial
 or meshed. After every step the book must have conserved every bid's
 quantity, traded every match at the earlier bid's price and kept its
 baseline within the line limits, with flows bit for bit those of its
-baseline dispatch and rooms bit for bit those of the flow rows its
-policy names, and its conditional matches must be as
-safe to activate as its policy promises. The oracle's DC solves, which
-share no code with the engine's sensitivity matrix, judge the network.
+baseline dispatch, rooms bit for bit those of the flow rows its policy
+names and saturated lines those of these rooms, and its conditional
+matches must be as safe to activate as its policy promises. The
+oracle's DC solves, which share no code with the engine's sensitivity
+matrix, judge the network.
 """
 
 import os
@@ -202,11 +203,19 @@ class BookLife(RuleBasedStateMachine):
             ALL_COMBINATIONS: ([rise, fall], [rise, fall]),
             SCENARIOS: ([zero, *scenario_totals], [zero, *scenario_totals]),
         }[self.policy]
+        # Twice the largest PTDF entry magnitude bounds every exchange sensitivity.
+        threshold = 2 * QUANTITY_TOL * (2 * np.abs(book.ptdf.matrix).max())
         for conditionality, rows in ((CONDITIONAL, conditional), (UNCONDITIONAL, unconditional)):
             expected = flow_rooms(book.flows + np.stack(rows), self.network.limits)
             # The rooms are private; the book checks every candidate against them.
             rooms = book._rooms_for(book._rows[conditionality])
             assert [r.tobytes() for r in rooms] == [r.tobytes() for r in expected]
+            # So are the saturated lines, on which the book screens runs of refusals.
+            lines, labels, *screened = book._screen_for(book._rows[conditionality])
+            saturated = [i for i, room in enumerate(np.minimum(*expected)) if room <= threshold]
+            assert lines.tolist() == saturated
+            assert list(labels) == [self.network.line_labels[i] for i in saturated]
+            assert [r.tobytes() for r in screened] == [r[saturated].tobytes() for r in expected]
 
     @invariant()
     def the_lines_hold_as_the_policy_promises(self):
