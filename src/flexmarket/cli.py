@@ -5,7 +5,8 @@ validates a network and its baseline and, given ``--bids`` and
 ``--trades``, audits every activation subset of the trade log,
 ``ptdf`` dumps the sensitivity matrix, ``book`` pretty-prints an order
 book dump. Exit codes: 0 clean, 1 an audit that finds a violating
-subset, 2 input error, 3 infeasible baseline.
+subset, 2 input error (an output path that cannot be written included),
+3 infeasible baseline.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ def cmd_run(args) -> int:
     book = run_replay(args.network, args.bids, config)
     log = "".join(line + "\n" for line in trade_log_lines(book.trade_log))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise InputError(f"cannot make output directory {args.out}: {reason}") from None
         for name, text in (("trades.jsonl", log), ("book.json", book_json(book))):
-            with open(os.path.join(args.out, name), "w") as handle:
-                handle.write(text)
+            write_text(os.path.join(args.out, name), text)
     sys.stdout.write(log)
     print(
         f"# {len(book.trade_log)} log entries, {book.match_count} matches, "
@@ -114,11 +118,19 @@ def cmd_ptdf(args) -> int:
         rows.append(label + "," + ",".join(f"{v:.12g}" for v in row))
     text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        write_text(args.out, text)
     else:
         print(text, end="")
     return 0
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; raise :class:`InputError` naming it if that fails."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_book(args) -> int:

@@ -303,6 +303,29 @@ def test_a_subnormal_reactance_exits_2_without_a_traceback(tmp_path):
         )
 
 
+@pytest.mark.parametrize("form", ["run into a file", "ptdf into a missing directory",
+                                  "ptdf onto a directory"])
+def test_an_unwritable_output_path_exits_2_without_a_traceback(tmp_path, form):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    network = ["--network", str(DATA / "three_bus.yaml")]
+    args, path, reason = {
+        "run into a file": (
+            ["run", "--bids", str(DATA / "bids_reevaluation.jsonl"), "--out", str(taken)],
+            taken, "cannot make output directory",
+        ),
+        "ptdf into a missing directory": (
+            ["ptdf", "--out", str(tmp_path / "missing" / "ptdf.csv")],
+            tmp_path / "missing" / "ptdf.csv", "cannot write",
+        ),
+        "ptdf onto a directory": (["ptdf", "--out", str(tmp_path)], tmp_path, "cannot write"),
+    }[form]
+    done = cli(*args, *network)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {reason} {path}: ")
+
+
 def test_ptdf_dump(tmp_path, capsys):
     args = ["ptdf", "--network", str(DATA / "three_bus.yaml")]
     assert main(args) == 0
