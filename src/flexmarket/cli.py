@@ -24,7 +24,7 @@ from .fileio import (
     load_network,
     read_book_dump,
     run_replay,
-    trade_log_lines,
+    trade_log_text,
 )
 from .grid import build_ptdf, check_baseline
 from .market import ORDER_FIFO, ORDERS
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     config = MarketConfig(policy=args.policy, scenarios_path=args.scenarios, order=args.order)
     book = run_replay(args.network, args.bids, config)
-    log = "".join(line + "\n" for line in trade_log_lines(book.trade_log))
+    log = trade_log_text(book.trade_log)
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)

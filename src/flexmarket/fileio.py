@@ -25,7 +25,9 @@ import yaml
 
 from .errors import InputError, MarketError, NetworkError, shown
 from .grid import (
+    DOWN,
     QUANTITY_TOL,
+    UP,
     DispatchState,
     Line,
     Network,
@@ -36,6 +38,7 @@ from .grid import (
 )
 from .market import (
     ALL_COMBINATIONS,
+    CONDITIONAL,
     CUMULATIVE,
     INDIVIDUAL,
     INDIVIDUAL_AND_CUMULATIVE,
@@ -43,6 +46,7 @@ from .market import (
     ORDER_FIFO,
     OUTCOME_MATCHED,
     OUTCOME_PARTIAL,
+    OUTCOME_REJECTED_CONGESTION,
     REQUEST,
     SCENARIOS,
     UNCONDITIONAL,
@@ -367,49 +371,97 @@ def run_replay(network_path, bids_path, config: MarketConfig) -> OrderBook:
 
 
 # ----------------------------------------------------------------------
-# trade log serialization
+# writers: one ``%`` of a template per record
+#
+# ``json.dumps`` writes an exact ``str`` as ``encode_basestring_ascii(s)``,
+# and an exact ``int`` or a finite exact ``float`` as its type's ``__repr__``.
+# ``"%s" % x`` writes those same texts for such a number, as ``str(x)`` is
+# ``repr(x)`` for both types. So each record is one ``%`` of a template for
+# its shape: a number slot takes the number itself, a string slot the
+# ``encode_basestring_ascii`` text, and the engine's own constants (a bid's
+# side, direction and conditionality, a match's conditionality, a log
+# entry's outcome) are part of the template text. Any other value is
+# written by :func:`_json_value` in the same slot.
 
-
-# One trade-log line: the bytes ``json.dumps(record, sort_keys=True)`` gives.
-_TRADE_LINE = (
-    '{"binding_lines": [%s], "offer_id": %s, "outcome": %s, "price_eur_per_kw": %s, '
-    '"quantity_kw": %s, "request_id": %s, "round": %s}'
-)
+_INF = math.inf
+_NUMBERS = (float, int)
 
 
 def _json_value(value) -> str:
-    """``json.dumps(value)``, with the types the engine logs formatted directly."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):  # numpy float64 included
+    """``json.dumps(value)``, for a value that no template slot takes as it is.
+
+    That is any value but an exact ``str``, an exact ``int`` or a finite
+    exact ``float``: a bool, a subclass of ``int``, ``str`` or ``float`` (an
+    ``IntEnum`` member or a numpy float), NaN, ±inf, a constant that no
+    template holds, and whatever else a caller set a field to. Each takes
+    ``json.dumps``'s own formatting. A finite float subclass, such as the
+    numpy float64 a library caller may pass, is written as ``json.dumps``
+    writes it, by ``float.__repr__``, without the encoder's set-up.
+    """
+    if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     return json.dumps(value)
 
 
+def _baked(value) -> str:
+    """The JSON text of ``value`` as it stands in a template: ``%`` written as ``%%``."""
+    return _json_value(value).replace("%", "%%")
+
+
+def _trade_line(outcome) -> str:
+    """The template of a trade-log line with ``outcome``, keys in ``json.dumps``'s sorted order."""
+    return (
+        '{"binding_lines": [%s], "offer_id": %s, "outcome": ' + _baked(outcome)
+        + ', "price_eur_per_kw": %s, "quantity_kw": %s, "request_id": %s, "round": %s}'
+    )
+
+
+_TRADE_LINES = {
+    outcome: _trade_line(outcome)
+    for outcome in (OUTCOME_MATCHED, OUTCOME_PARTIAL, OUTCOME_REJECTED_CONGESTION)
+}
+
+
 def trade_log_lines(entries) -> list:
-    """One JSON object per entry, keys sorted, byte for byte as ``json.dumps`` writes it."""
-    value = _json_value
-    return [
-        _TRADE_LINE % (
-            ", ".join(map(value, entry.binding_lines)),
-            value(entry.offer_id),
-            value(entry.outcome),
-            value(entry.price_eur_per_kw),
-            value(entry.quantity_kw),
-            value(entry.request_id),
-            value(entry.round),
-        )
-        for entry in entries
-    ]
+    """One JSON object per entry, keys sorted, byte for byte as ``json.dumps`` writes it.
+
+    Each line is one ``%`` of the template of its outcome. The ids and
+    binding lines take their ``encode_basestring_ascii`` text when each is
+    an exact ``str``, the quantity and price themselves when each is an
+    exact ``int`` or a finite exact ``float``, and the round itself when it
+    is an exact ``int``. Any other value, and an outcome the engine does
+    not write, is written by :func:`_json_value`.
+    """
+    value, text, templates, numbers, inf = (
+        _json_value, encode_basestring_ascii, _TRADE_LINES, _NUMBERS, _INF
+    )
+    lines = []
+    append = lines.append
+    for round_, offer, request, quantity, price, outcome, binding in entries:
+        template = templates.get(outcome) if type(outcome) is str else None
+        if template is None:
+            template = _trade_line(outcome)
+        names = [text(x) if type(x) is str else value(x) for x in binding] if binding else ()
+        append(template % (
+            ", ".join(names),
+            text(offer) if type(offer) is str else value(offer),
+            price if type(price) in numbers and -inf < price < inf else value(price),
+            quantity if type(quantity) in numbers and -inf < quantity < inf else value(quantity),
+            text(request) if type(request) is str else value(request),
+            round_ if type(round_) is int else value(round_),
+        ))
+    return lines
+
+
+def trade_log_text(entries) -> str:
+    """The text of a trade log: each of :func:`trade_log_lines` and a newline, joined once."""
+    lines = trade_log_lines(entries)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def write_trade_log(entries, path) -> None:
     with open(path, "w") as handle:
-        for line in trade_log_lines(entries):
-            handle.write(line + "\n")
+        handle.write(trade_log_text(entries))
 
 
 def read_trade_log(path) -> list:
@@ -429,45 +481,117 @@ def read_trade_log(path) -> list:
 # order book dumps
 
 
-def _object_template(keys, indent: int) -> str:
+def _object_template(keys, indent: int, baked=None) -> str:
     """A ``%`` template of one JSON object with ``keys``, as ``json.dumps(indent=2)`` nests it.
 
-    ``indent`` is the object's own indentation; each ``%s`` takes one
-    formatted value, in the order of ``keys``.
+    ``indent`` is the indentation of the object's closing brace; its fields
+    are two spaces further in, and the text starts at its opening brace.
+    ``baked`` maps the keys whose values are written into the template to
+    those values; each other key takes one formatted value per ``%s``, in
+    the order of ``keys``.
     """
+    baked = baked or {}
     pad = " " * indent
-    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(key)}: %s" for key in keys)
-    return f"{pad}{{\n{fields}\n{pad}}}"
+    fields = ",\n".join(
+        f"{pad}  {encode_basestring_ascii(key)}: " + (_baked(baked[key]) if key in baked else "%s")
+        for key in keys
+    )
+    return f"{{\n{fields}\n{pad}}}"
 
 
 def _json_block(items: list, brackets: str) -> str:
     """A top-level list or object of the dump, from its rendered items, as ``json.dumps`` writes it.
 
-    ``brackets`` is ``"[]"`` or ``"{}"``; an empty one is written as just those.
+    ``brackets`` is ``"[]"`` or ``"{}"``; an empty one is written as just
+    those. Each item is written on its own line, four spaces in.
     """
     if not items:
         return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}"
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
 
 
 # The dump's keys, and those of its bids and matches, in the sorted order json.dumps writes.
 _BOOK_KEYS = tuple(sorted(_DUMP_FIELDS))
 _BOOK_TEMPLATE = _object_template(_BOOK_KEYS, 0)
-_MATCH_TEMPLATE = _object_template(sorted(_DUMP_MATCH_FIELDS), 4)
-_match_values = attrgetter(*sorted(_DUMP_MATCH_FIELDS))
-# The template and getter of each bid shape Bid admits: an offer has no conditionality.
-_BID_SHAPES = {
-    side: (_object_template(keys, 4), attrgetter(*keys))
-    for side, keys in (
-        (REQUEST, sorted(_DUMP_BID_FIELDS)),
-        (OFFER, sorted(_DUMP_BID_FIELDS.keys() - {"conditionality"})),
+_BID_KEYS = tuple(sorted(_DUMP_BID_FIELDS))
+_BID_CONSTANTS = ("conditionality", "direction", "side")
+_bid_values = attrgetter(*(key for key in _BID_KEYS if key not in _BID_CONSTANTS))
+_MATCH_KEYS = tuple(sorted(_DUMP_MATCH_FIELDS))
+_match_values = attrgetter(*(key for key in _MATCH_KEYS if key != "conditionality"))
+
+
+def _bid_template(side, direction, conditionality) -> str:
+    """The template of a bid with these constants; a null conditionality is left out."""
+    baked = {"side": side, "direction": direction, "conditionality": conditionality}
+    if conditionality is None:
+        return _object_template([key for key in _BID_KEYS if key != "conditionality"], 4, baked)
+    return _object_template(_BID_KEYS, 4, baked)
+
+
+def _match_template(conditionality) -> str:
+    """The template of an accepted match with this conditionality."""
+    return _object_template(_MATCH_KEYS, 4, {"conditionality": conditionality})
+
+
+# The templates of the bid shapes Bid admits (an offer has no conditionality) and of a match.
+_BID_TEMPLATES = {
+    key: _bid_template(*key)
+    for key in (
+        *((OFFER, direction, None) for direction in (UP, DOWN)),
+        *((REQUEST, direction, kind) for direction in (UP, DOWN)
+          for kind in (CONDITIONAL, UNCONDITIONAL)),
     )
 }
+_MATCH_TEMPLATES = {CONDITIONAL: _match_template(CONDITIONAL)}
 
 
-def _bid_record(bid: Bid) -> str:
-    template, values = _BID_SHAPES[bid.side]
-    return template % tuple(map(_json_value, values(bid)))
+def _bid_records(bids) -> list:
+    """The dump's record of each bid, one ``%`` of its shape's template per bid."""
+    value, text, templates, numbers, inf = (
+        _json_value, encode_basestring_ascii, _BID_TEMPLATES, _NUMBERS, _INF
+    )
+    records = []
+    for bid in bids:
+        shape = (bid.side, bid.direction, bid.conditionality)
+        try:
+            template = templates[shape]
+        except (KeyError, TypeError):  # a field set after the gate to a value Bid never keeps
+            template = _bid_template(*shape)
+        bus, bid_id, original, price, quantity, sequence = _bid_values(bid)
+        records.append(template % (
+            text(bus) if type(bus) is str else value(bus),
+            text(bid_id) if type(bid_id) is str else value(bid_id),
+            original if type(original) in numbers and -inf < original < inf else value(original),
+            price if type(price) in numbers and -inf < price < inf else value(price),
+            quantity if type(quantity) in numbers and -inf < quantity < inf else value(quantity),
+            sequence if type(sequence) is int else value(sequence),
+        ))
+    return records
+
+
+def _match_records(matches) -> list:
+    """The dump's record of each accepted match, one ``%`` of its template per match."""
+    value, text, templates, numbers, inf = (
+        _json_value, encode_basestring_ascii, _MATCH_TEMPLATES, _NUMBERS, _INF
+    )
+    records = []
+    for match in matches:
+        kind = match.conditionality
+        template = templates.get(kind) if type(kind) is str else None
+        if template is None:
+            template = _match_template(kind)
+        inject, match_id, offer, price, quantity, request, round_, withdraw = _match_values(match)
+        records.append(template % (
+            text(inject) if type(inject) is str else value(inject),
+            text(match_id) if type(match_id) is str else value(match_id),
+            text(offer) if type(offer) is str else value(offer),
+            price if type(price) in numbers and -inf < price < inf else value(price),
+            quantity if type(quantity) in numbers and -inf < quantity < inf else value(quantity),
+            text(request) if type(request) is str else value(request),
+            round_ if type(round_) is int else value(round_),
+            text(withdraw) if type(withdraw) is str else value(withdraw),
+        ))
+    return records
 
 
 def book_json(book: OrderBook) -> str:
@@ -478,29 +602,35 @@ def book_json(book: OrderBook) -> str:
     of its bid's fields without a null conditionality, the accepted matches
     and the sorted ``seen_ids``. The text is byte for byte what
     ``json.dumps(dump, sort_keys=True, indent=2)`` writes for that dict:
-    ASCII only, keys sorted and a two-space indent. It is written from a
-    ``%`` template per record shape, each value formatted by
-    :func:`_json_value`, so no dump dict is built and the pure-Python
-    encoder that ``indent`` selects never runs.
+    ASCII only, keys sorted and a two-space indent. No dump dict is built,
+    and the pure-Python encoder that ``indent`` selects never runs: each
+    bid and match is one ``%`` of the template of its shape, whose side,
+    direction and conditionality are part of the template text. A string
+    slot takes the ``encode_basestring_ascii`` text of an exact ``str``, a
+    number slot an exact ``int`` or finite exact ``float`` itself and a
+    counter, sequence or round slot an exact ``int`` itself. Any other
+    value, a NaN quantity or a ``str`` subclass id among them, is written
+    by :func:`_json_value`, which takes ``json.dumps``'s own formatting.
     """
     state = book.snapshot()
-    value = _json_value
+    value, text, numbers, inf = _json_value, encode_basestring_ascii, _NUMBERS, _INF
     injections = {str(b): v for b, v in sorted(book.baseline.injection_kw.items())}
+    resting = state["resting"]
+    counters = {key: state[key] for key in _DUMP_COUNTERS}
     parts = {
-        **{key: value(state[key]) for key in _DUMP_COUNTERS},
-        "injection_kw": _json_block(
-            [f"    {value(bus)}: {value(kw)}" for bus, kw in sorted(injections.items())], "{}"
-        ),
-        "requests": _json_block(
-            [_bid_record(b) for b in state["resting"] if b.side == REQUEST], "[]"
-        ),
-        "offers": _json_block([_bid_record(b) for b in state["resting"] if b.side == OFFER], "[]"),
-        "accepted_matches": _json_block(
-            [_MATCH_TEMPLATE % tuple(map(value, _match_values(r))) for r in state["accepted"]],
-            "[]",
-        ),
+        **{key: n if type(n) is int else value(n) for key, n in counters.items()},
+        "injection_kw": _json_block([
+            "%s: %s" % (
+                text(bus) if type(bus) is str else value(bus),
+                kw if type(kw) in numbers and -inf < kw < inf else value(kw),
+            )
+            for bus, kw in sorted(injections.items())
+        ], "{}"),
+        "requests": _json_block(_bid_records(b for b in resting if b.side == REQUEST), "[]"),
+        "offers": _json_block(_bid_records(b for b in resting if b.side == OFFER), "[]"),
+        "accepted_matches": _json_block(_match_records(state["accepted"]), "[]"),
         "seen_ids": _json_block(
-            ["    " + text for text in map(value, sorted(state["seen_ids"]))], "[]"
+            [text(i) if type(i) is str else value(i) for i in sorted(state["seen_ids"])], "[]"
         ),
     }
     return _BOOK_TEMPLATE % tuple(parts[key] for key in _BOOK_KEYS) + "\n"

@@ -476,11 +476,13 @@ class OrderBook:
         ``int`` >= 0 that can be written, a ``seen_ids`` that is not such a
         collection, duplicate bid ids, sequence numbers or
         match ids, a sequence number after ``sequence``, a ``round`` other than
-        ``sequence`` (each submission counts both), an accepted match whose id is
-        not a ``str``, that is not conditional, whose quantity is not a finite
-        number above zero or whose id ``m<N>`` has N above ``match_counter``, or a
-        bid or match on an unknown bus. Every input is checked before the book
-        changes, so a failed restore leaves it fresh.
+        ``sequence`` (each submission counts both), an accepted match whose id,
+        offer id or request id is not a ``str``, that is not conditional, whose
+        quantity is not a finite number above zero, whose price is not a finite
+        number, whose round is not an ``int`` (a bool is none) or whose id
+        ``m<N>`` has N above ``match_counter``, or a bid or match on an unknown
+        bus. Every input is checked before the book changes, so a failed
+        restore leaves it fresh.
         """
         if self.round or self._seen_ids or self.accepted:
             raise MarketError("restore needs a fresh book")
@@ -499,6 +501,20 @@ class OrderBook:
                 raise MarketError(f"match id {shown(record.match_id)} is not a str")
             if record.conditionality != CONDITIONAL:
                 raise MarketError(f"match {record.match_id}: accepted matches are conditional")
+            for name in ("offer_id", "request_id"):
+                if type(bid_id := getattr(record, name)) is not str:
+                    raise MarketError(
+                        f"match {record.match_id}: {name} {shown(bid_id)} is not a str"
+                    )
+            if not finite_number(record.price_eur_per_kw):
+                raise MarketError(
+                    f"match {record.match_id}: price_eur_per_kw"
+                    f" {shown(record.price_eur_per_kw)} is not a finite number"
+                )
+            if type(record.round) is not int:  # a bool is not one
+                raise MarketError(
+                    f"match {record.match_id}: round {shown(record.round)} is not an int"
+                )
             if not (finite_number(record.quantity_kw) and record.quantity_kw > 0):
                 raise MarketError(
                     f"match {record.match_id}: quantity_kw {shown(record.quantity_kw)}"

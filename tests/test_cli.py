@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flexmarket
-from flexmarket import cli as cli_module, fileio, grid
+from flexmarket import fileio, grid
 from flexmarket.cli import main
 
 from conftest import DATA, GOLDEN
@@ -39,8 +39,7 @@ def test_run_out_formats_the_trade_log_once(tmp_path, capsys, monkeypatch):
         return lines(entries)
 
     lines = fileio.trade_log_lines
-    monkeypatch.setattr(fileio, "trade_log_lines", counted)
-    monkeypatch.setattr(cli_module, "trade_log_lines", counted)
+    monkeypatch.setattr(fileio, "trade_log_lines", counted)  # fileio.trade_log_text calls it
     out = tmp_path / "out"
     network, bids = str(DATA / "fifteen_bus.yaml"), str(DATA / "bids_fifteen_bus.jsonl")
     assert main(["run", "--network", network, "--bids", bids, "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -623,6 +624,26 @@ class TestRestore:
         with pytest.raises(error, match=message):
             make_book(three_bus).restore(round=2, sequence=2, match_counter=2, seen_ids=[],
                                          resting=[], accepted=accepted)
+
+    # Each of these used to restore, and book_json wrote a dump of it that
+    # load_book refuses, as its match fields are checked as a dump's are.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("round", True, "match m1: round True is not an int"),
+            ("offer_id", 7, "match m1: offer_id 7 is not a str"),
+            ("price_eur_per_kw", float("nan"),
+             "match m1: price_eur_per_kw nan is not a finite number"),
+        ],
+        ids=["bool-round", "int-offer-id", "nan-price"],
+    )
+    def test_restore_refuses_a_match_load_book_would_refuse(self, three_bus, field, value, message):
+        book = make_book(three_bus)
+        odd = dataclasses.replace(accepted_match("m1"), **{field: value})
+        with pytest.raises(MarketError, match=f"^{re.escape(message)}$"):
+            book.restore(round=2, sequence=2, match_counter=2, seen_ids=[], resting=[],
+                         accepted=[odd])
+        assert book.snapshot() == make_book(three_bus).snapshot()
 
     # Each of these used to restore, or fail with a bare TypeError, and a
     # restored one dumps a book.json that load_book refuses.
