@@ -127,7 +127,7 @@ def cmd_ptdf(args) -> int:
 def write_text(path: str, text: str) -> None:
     """Write ``text`` to the file ``path``; raise :class:`InputError` naming it if that fails."""
     try:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None

@@ -227,6 +227,8 @@ _BID_FIELDS = _Fields(
     id=_label, side=None, direction=None, bus=_bus, quantity_kw=_number,
     price_eur_per_kw=_number, conditionality=None, optional=("conditionality",),
 )
+# The key sets of a bid-file record, with and without its optional conditionality.
+_BID_FILE_KEYS = (frozenset(_BID_FIELDS), frozenset(_BID_FIELDS).difference(_BID_FIELDS.optional))
 
 # The fields of a book dump and of its records. The counters carry the names
 # that OrderBook.snapshot and OrderBook.restore use, and a record's fields are
@@ -294,7 +296,7 @@ def load_network(path):
 def _read_yaml(path, what: str):
     """The parsed contents of a YAML file; ``what`` names the file in errors."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise InputError(f"cannot read {what} file: {exc}") from None
@@ -302,20 +304,40 @@ def _read_yaml(path, what: str):
         raise InputError(f"{path}: invalid YAML: {exc}") from None
 
 
+# Decodes one JSON value at the start of a line; json.loads words every error.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def _json_lines(path, what: str):
-    """``(line number, record)`` per non-blank line; ``what`` names the file in errors."""
+    """``(line number, record)`` per non-blank line; ``what`` names the file in errors.
+
+    Each line, its newline kept, is decoded once: a line that holds one
+    JSON value from its first character, followed by nothing but JSON
+    whitespace, is that value. Any other line, a blank one, one with
+    leading space or extra data and invalid JSON among them, is read by
+    ``json.loads`` as it stands, which gives the error texts.
+    """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw_lines = handle.readlines()
-    except (OSError, ValueError) as exc:  # ValueError: the text does not decode
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: invalid UTF-8: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise InputError(f"cannot read {what}: {exc}") from None
+    scan, space = _scan_json, _JSON_SPACE
     for lineno, raw in enumerate(raw_lines, start=1):
-        if not raw.strip():
-            continue
         try:
-            record = json.loads(raw)
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            record, end = scan(raw, 0)
+        except (StopIteration, ValueError):  # not one value from the first character
+            end = -1
+        if end < 0 or raw[end:].strip(space):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         yield lineno, record
 
 
@@ -325,18 +347,40 @@ def load_bids(path) -> list:
     Ids and buses are labels (see :func:`_label`); every bid on a bus
     shares one string for it. The bids are not numbered: the book
     numbers each one as it arrives.
+
+    ``Bid`` is the one gate of a record that holds exactly the fields of
+    a bid file, its id and bus as strings and its quantity and price as
+    JSON numbers: each number is checked once, as ``Bid`` reads it. Any
+    other record, and one ``Bid`` refuses, is read by the field rules of
+    ``_BID_FIELDS`` and then ``Bid``, which word every error.
     """
     bids = []
     seen = set()
+    shapes, numbers, intern = _BID_FILE_KEYS, _NUMBERS, sys.intern
     for lineno, record in _json_lines(path, "bids file"):
-        try:
-            _checked(record, _BID_FIELDS, "")
-            bid = Bid(
-                record["id"], record["side"], record["direction"], record["bus"],
-                record["quantity_kw"], record["price_eur_per_kw"], record.get("conditionality"),
-            )
-        except (InputError, MarketError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+        bid = None
+        if type(record) is dict and record.keys() in shapes:
+            bid_id, bus = record["id"], record["bus"]
+            quantity, price = record["quantity_kw"], record["price_eur_per_kw"]
+            if (type(bid_id) is str and type(bus) is str
+                    and type(quantity) in numbers and type(price) in numbers):
+                try:
+                    bid = Bid(
+                        bid_id, record["side"], record["direction"], intern(bus),
+                        float(quantity), float(price), record.get("conditionality"),
+                    )
+                except (MarketError, OverflowError):  # the field rules word the error
+                    pass
+        if bid is None:
+            try:
+                _checked(record, _BID_FIELDS, "")
+                bid = Bid(
+                    record["id"], record["side"], record["direction"], record["bus"],
+                    record["quantity_kw"], record["price_eur_per_kw"],
+                    record.get("conditionality"),
+                )
+            except (InputError, MarketError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
         if bid.id in seen:
             raise InputError(f"{path}:{lineno}: duplicate bid id {shown(bid.id)}")
         seen.add(bid.id)
@@ -460,7 +504,7 @@ def trade_log_text(entries) -> str:
 
 
 def write_trade_log(entries, path) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(trade_log_text(entries))
 
 
@@ -645,7 +689,7 @@ def read_book_dump(path) -> dict:
     records or against a network are left to :func:`load_book`.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read book dump: {exc}") from None

@@ -68,6 +68,28 @@ def test_run_missing_bids_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+UNDECODABLE = b'{"id": "o\xff"}\n'
+UNDECODABLE_REASON = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+
+
+def test_run_names_a_bids_file_that_is_not_utf8(tmp_path, capsys):
+    bids = tmp_path / "bad.jsonl"
+    bids.write_bytes(UNDECODABLE)
+    code = main(["run", "--network", str(DATA / "three_bus.yaml"), "--bids", str(bids)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {bids}: invalid UTF-8: {UNDECODABLE_REASON}\n")
+
+
+def test_check_names_a_trade_log_that_is_not_utf8(tmp_path, capsys):
+    trades = tmp_path / "bad.jsonl"
+    trades.write_bytes(UNDECODABLE)
+    code = main(["check", "--network", str(DATA / "three_bus.yaml"),
+                 "--bids", str(DATA / "bids_reevaluation.jsonl"), "--trades", str(trades)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trades}: invalid UTF-8: {UNDECODABLE_REASON}\n"
+
+
 def test_check_reports_feasible_baseline(capsys):
     assert main(["check", "--network", str(DATA / "fifteen_bus.yaml")]) == 0
     out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flexmarket import (
     Bid,
@@ -48,6 +48,8 @@ from flexmarket import (
     write_trade_log,
 )
 from flexmarket.cli import main
+from flexmarket.errors import shown
+from flexmarket.fileio import _BID_FIELDS, _checked
 from flexmarket.grid import (
     ALPHA_TOL,
     DOWN,
@@ -1002,3 +1004,187 @@ def test_an_added_or_dropped_field_is_an_input_error(kind, pick, key, value):
             code = main(command)
     assert code == 2
     assert "Traceback" not in err.getvalue()
+
+
+# ----------------------------------------------------------------------
+# the bid-file reader against the format's definition
+
+
+def reference_load_bids(path):
+    """The bids of a bid file as the format defines them, one rule at a time.
+
+    Each line that is not blank is read by ``json.loads``, its newline
+    kept, then checked by the field rules of a bid record and by ``Bid``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        raw_lines = handle.readlines()
+    bids, seen = [], set()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        try:
+            _checked(record, _BID_FIELDS, "")
+            bid = Bid(
+                record["id"], record["side"], record["direction"], record["bus"],
+                record["quantity_kw"], record["price_eur_per_kw"], record.get("conditionality"),
+            )
+        except (InputError, MarketError) as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if bid.id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate bid id {shown(bid.id)}")
+        seen.add(bid.id)
+        bids.append(bid)
+    return bids
+
+
+# The JSON texts of each bid-file field: those a valid record may hold, and
+# others. The numbers include what json reads as NaN, inf, a float that
+# overflows and an int too large for a float.
+NUMBER_TEXTS = (
+    ("5", "12.5", "0.04"),
+    ("0", "-1", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true", '"5"', "null"),
+)
+BID_FIELD_TEXTS = {
+    "id": (
+        ('"b1"', '"b2"', '"b3"', '"b4"', '"b5"', '"b6"', '"a\u2028b"'), ('""', "7", "true", "null"),
+    ),
+    "side": (('"offer"', '"request"'), ('"bid"', "1")),
+    "direction": (('"up"', '"down"'), ('"sideways"',)),
+    "bus": (('"3"', '"x\u2028y"'), ("3", "false", "1.5", "1" + "0" * 400)),
+    "quantity_kw": NUMBER_TEXTS,
+    "price_eur_per_kw": NUMBER_TEXTS,
+    "conditionality": (('"conditional"', '"unconditional"'), ('"maybe"', "null")),
+}
+BLANK_LINES = ("", " ", "\t", "\x0c", "\u2028")
+LEADING = ("", " ", "\t", "\x0c", "\ufeff")
+TRAILING = ("", " ", "\t", "\r", "\x0c", " \x0c")
+
+
+def rarely(draw, odds: int) -> bool:
+    """True once in about ``odds`` draws; a middle value, as hypothesis favours the ends of a range."""
+    return draw(st.integers(0, odds - 1)) == odds // 2
+
+
+def mostly(draw, texts, odds):
+    """One of ``texts``' first tuple, or of its second once in about ``odds`` draws."""
+    return draw(st.sampled_from(texts[rarely(draw, odds)]))
+
+
+@st.composite
+def bid_record_fields(draw, odds):
+    """The ``"key": value`` texts of one bid record; each flaw comes once in about ``odds``.
+
+    A field may hold a value a valid record may not, or be missing, extra
+    or repeated. A request mostly holds a conditionality, and an offer
+    mostly holds none or a null one.
+    """
+    side = mostly(draw, BID_FIELD_TEXTS["side"], odds)
+    fields = [(key, mostly(draw, BID_FIELD_TEXTS[key], odds)) for key in BID_FIELD_TEXTS]
+    fields[1] = ("side", side)
+    if side == '"offer"':
+        conditionality = mostly(draw, (("null",), BID_FIELD_TEXTS["conditionality"][0]), odds)
+        fields[-1] = ("conditionality", conditionality)
+        if draw(st.booleans()):
+            del fields[-1]
+    if rarely(draw, odds):
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    keys = [key for key, _ in fields]
+    if rarely(draw, odds):
+        fields.append(("extra", "1"))
+    if rarely(draw, odds):  # a repeated key: json keeps the last value
+        key = draw(st.sampled_from(keys))
+        fields.append((key, mostly(draw, BID_FIELD_TEXTS[key], odds)))
+    return [f'"{key}": {text}' for key, text in draw(st.permutations(fields))]
+
+
+@st.composite
+def bid_file_lines(draw, odds):
+    """The lines one draw adds to a bid file, each without its line break.
+
+    A line holds a record, a truncated one or two records, with space
+    around it, or is blank; a record may also be split over two lines
+    at one of its commas. Each but a record comes once in about ``odds``.
+    """
+    kind = "record" if not rarely(draw, odds) else draw(
+        st.sampled_from(["truncated", "two", "split", "blank"])
+    )
+    if kind == "blank":
+        return [draw(st.sampled_from(BLANK_LINES))]
+    fields = draw(bid_record_fields(odds))
+    text = "{" + ", ".join(fields) + "}"
+    if kind == "truncated":
+        text = text[:draw(st.integers(1, len(text) - 1))]
+    elif kind == "two":
+        second = "{" + ", ".join(draw(bid_record_fields(odds))) + "}"
+        text += draw(st.sampled_from([" ", ", ", ""])) + second
+    elif kind == "split" and len(fields) > 1:
+        cut = draw(st.integers(1, len(fields) - 1))
+        return ["{" + ", ".join(fields[:cut]), ", ".join(fields[cut:]) + "}"]
+    return [mostly(draw, (("",), LEADING), odds) + text + mostly(draw, (("",), TRAILING), odds)]
+
+
+def bid_fields(bid):
+    """Every field of ``bid`` with its type, so that an ``int`` and a ``float`` quantity differ."""
+    return [(type(value), value) for value in dataclasses.astuple(bid)]
+
+
+def bid_file_outcome(load, path):
+    """The bids ``load`` reads from ``path``, or the text of the InputError it raises."""
+    try:
+        return load(path)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    # A flawed file, or one whose flaws are rare enough that most of its bids load.
+    lines=st.sampled_from([4, 100]).flatmap(
+        lambda odds: st.lists(bid_file_lines(odds), min_size=1, max_size=4)
+    ).map(lambda parts: sum(parts, [])),
+    breaks=st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=8, max_size=8),
+    final_break=st.booleans(),
+)
+# An otherwise valid record whose quantity is an int too large for a float.
+@example(
+    lines=['{"id": "b1", "side": "offer", "direction": "up", "bus": "3", "quantity_kw": 1'
+           + "0" * 400 + ', "price_eur_per_kw": 0.04}'],
+    breaks=["\n"] * 8,
+    final_break=False,
+)
+# A string cut short by its line's end: json names the newline as a control character.
+@example(lines=['{"id": "b1'], breaks=["\n"] * 8, final_break=True)
+# A record split over two lines, then two records on one line: as many records as
+# lines once the lines are joined into one list, but neither line is one record.
+@example(
+    lines=[
+        '{"id": "b1", "side": "offer"',
+        '"direction": "up", "bus": "3", "quantity_kw": 5, "price_eur_per_kw": 0.04}',
+        '{"id": "b2", "side": "offer", "direction": "up", "bus": "3", "quantity_kw": 5,'
+        ' "price_eur_per_kw": 0.04}, {"id": "b3", "side": "offer", "direction": "up",'
+        ' "bus": "3", "quantity_kw": 5, "price_eur_per_kw": 0.04}',
+    ],
+    breaks=["\n"] * 8,
+    final_break=True,
+)
+def test_load_bids_reads_a_file_as_its_definition_does(lines, breaks, final_break):
+    """The same bids as per-line ``json.loads``, field rules and ``Bid``, or the same error text."""
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if not final_break:
+        text = text[: len(text) - len(breaks[len(lines) - 1])]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "bids.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        read = bid_file_outcome(load_bids, path)
+        expected = bid_file_outcome(reference_load_bids, path)
+    if isinstance(expected, str):
+        assert read == expected
+        return
+    assert isinstance(read, list)
+    assert [bid_fields(bid) for bid in read] == [bid_fields(bid) for bid in expected]
+    assert all(bid.bus is twin.bus for bid, twin in zip(read, expected))

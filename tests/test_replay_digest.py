@@ -25,6 +25,8 @@ of both conditionalities, so the book caps them in blocks, and its
 digests pin those blocks on a feeder where most lines have room to spare.
 """
 
+import dataclasses
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -198,8 +200,8 @@ CONGESTED_DIGESTS = {
 }
 
 
-def congested_replay(policy, order, seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
-    """The 15-bus feeder with limits 5-15 kW above the baseline flows, and a bid stream on it.
+def congested_stream(seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
+    """The 15-bus feeder with limits 5-15 kW above the baseline flows, its baseline and new bids.
 
     Limits are whole kW, so they do not depend on the last bits of the PTDF solve.
     """
@@ -212,8 +214,7 @@ def congested_replay(policy, order, seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
         for line, limit in zip(network.lines, limits)
     ]
     network = Network(network.buses, lines, network.slack_bus)
-    scenarios = CONGESTED_SCENARIOS if policy == SCENARIOS else ()
-    book = OrderBook(network, baseline, policy, scenarios=scenarios, order=order)
+    bids = []
     for i in range(n_bids):
         side = "request" if rng.random() < 0.5 else "offer"
         direction = "up" if rng.random() < 0.5 else "down"
@@ -225,7 +226,22 @@ def congested_replay(policy, order, seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
         else:
             price = round(rng.uniform(0.020, 0.050), 4)
             conditionality = None
-        book.submit_bid(Bid(f"b{i + 1}", side, direction, bus, quantity, price, conditionality))
+        bids.append(Bid(f"b{i + 1}", side, direction, bus, quantity, price, conditionality))
+    return network, baseline, bids
+
+
+def cleared(network, baseline, bids, policy, order):
+    """The book that ``bids``, submitted in turn, leave on ``network``."""
+    scenarios = CONGESTED_SCENARIOS if policy == SCENARIOS else ()
+    book = OrderBook(network, baseline, policy, scenarios=scenarios, order=order)
+    for bid in bids:
+        book.submit_bid(bid)
+    return book
+
+
+def congested_replay(policy, order, seed=CONGESTED_SEED, n_bids=CONGESTED_BIDS):
+    """The digest of :func:`congested_stream` cleared under ``policy``, and the book."""
+    book = cleared(*congested_stream(seed, n_bids), policy, order)
     payload = ("\n".join(trade_log_lines(book.trade_log)) + "\n" + book_json(book)).encode()
     return hashlib.sha256(payload).hexdigest(), book
 
@@ -265,6 +281,57 @@ def test_congested_replay_digest_is_unchanged(policy, order):
     assert any(pairings[pair] > 1 for pair in refused)
     assert len(book.accepted) > 0 and outcomes[OUTCOME_PARTIAL] > 0
     assert digest == CONGESTED_DIGESTS[policy, order]
+
+
+# Metamorphic relations: two runs of the congested stream whose logs must
+# differ only as the change to the stream implies, under every policy that
+# needs no scenarios and both orders.
+RELATION_CASES = [
+    (policy, order)
+    for policy in (INDIVIDUAL, CUMULATIVE, INDIVIDUAL_AND_CUMULATIVE, ALL_COMBINATIONS)
+    for order in (ORDER_FIFO, ORDER_BEST_PRICE)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def congested_log(policy, order):
+    """The trade log of the congested stream, shared read-only by the relations."""
+    return cleared(*congested_stream(), policy, order).trade_log
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("policy, order", RELATION_CASES)
+def test_relabelled_bids_log_what_the_original_ids_log(policy, order, seed):
+    """Renaming the bids by a bijection changes the log only by that renaming."""
+    network, baseline, bids = congested_stream()
+    numbers = list(range(len(bids)))
+    random.Random(seed).shuffle(numbers)  # the new names sort in another order than arrival
+    names = {bid.id: f"r{n}" for bid, n in zip(bids, numbers)}
+    renamed = [dataclasses.replace(bid, id=names[bid.id]) for bid in bids]
+    log = cleared(network, baseline, renamed, policy, order).trade_log
+    assert log == [
+        entry._replace(offer_id=names[entry.offer_id], request_id=names[entry.request_id])
+        for entry in congested_log(policy, order)
+    ]
+
+
+@pytest.mark.parametrize("point", [0, 37, 101, 163, CONGESTED_BIDS])
+@pytest.mark.parametrize("policy, order", RELATION_CASES)
+def test_a_request_no_offer_crosses_moves_later_entries_one_round_on(policy, order, point):
+    """An unconditional request priced 0.0, put in after ``point`` bids, changes only rounds.
+
+    No offer is priced at 0.0, so the request clears nothing and logs
+    nothing; every entry logged after it has a round one higher.
+    """
+    network, baseline, bids = congested_stream()
+    rng = random.Random(point)
+    inert = Bid("inert", "request", rng.choice(["up", "down"]), str(rng.randint(2, 15)),
+                float(rng.randint(1, 30)), 0.0, "unconditional")
+    log = cleared(network, baseline, bids[:point] + [inert] + bids[point:], policy, order).trade_log
+    assert log == [
+        entry if entry.round <= point else entry._replace(round=entry.round + 1)
+        for entry in congested_log(policy, order)
+    ]
 
 
 FEEDER_SEED = 5
